@@ -66,7 +66,8 @@ pub fn is_delayed_read(schedule: &Schedule) -> bool {
 pub fn dr_violation(schedule: &Schedule) -> Option<(OpIndex, OpIndex)> {
     const NONE: u32 = u32::MAX;
     let mut last_write = vec![NONE; schedule.item_ub()];
-    for (p, o) in schedule.ops().iter().enumerate() {
+    for (i, o) in schedule.ops().iter().enumerate() {
+        let p = schedule.base() + i;
         if o.is_write() {
             last_write[o.item.index()] = p as u32;
         } else {
@@ -125,7 +126,7 @@ pub fn is_strict_with(schedule: &Schedule, commits: &CommitPoints) -> bool {
             // overwrites, any uncommitted earlier writer breaks
             // strictness.
             let relevant = !oj.is_read() || mru1.1 != oj.txn;
-            if relevant && !commits.committed_by(w_txn, OpIndex(j)) {
+            if relevant && !commits.committed_by(w_txn, OpIndex(schedule.base() + j)) {
                 return false;
             }
         }

@@ -89,6 +89,7 @@
 //!   per-conjunct shards behind their own locks with a ticketed
 //!   pipeline, for certification under real OS-thread parallelism.
 
+mod delayed;
 pub mod journal;
 pub mod sharded;
 pub mod undo;
@@ -104,6 +105,8 @@ use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use crate::theorems::{Guarantee, ProgramTraits};
 use crate::viewset::inclusion_holds_everywhere;
+use delayed::DelayedReads;
+use std::collections::HashSet;
 use undo::{GraphDelta, PushDelta, SeqDelta, UndoLog};
 
 const ABSENT: u32 = u32::MAX;
@@ -590,6 +593,55 @@ impl Verdict {
     pub fn pwsr(&self) -> bool {
         self.first_violation.is_none()
     }
+
+    /// The verdict over a prefix of `len` operations from its parts —
+    /// the global graph, the delayed-read state and the first conjunct
+    /// cycle — shared by both monitors.
+    fn assemble(
+        len: usize,
+        global: &ProjGraph,
+        dr: &DelayedReads,
+        first_violation: Option<OpIndex>,
+    ) -> Verdict {
+        let serializable = global.serializable();
+        let pwsr = first_violation.is_none();
+        let first_non_dr = dr.first_non_dr();
+        Verdict {
+            len,
+            level: VerdictLevel::compose(serializable, first_non_dr.is_none(), pwsr),
+            serializable,
+            dr: first_non_dr.is_none(),
+            first_violation,
+            first_non_serializable: global.cyclic_at,
+            first_non_dr,
+            lemma2_certified: pwsr,
+            lemma6_certified: pwsr && dr.all_conjuncts_clean(),
+        }
+    }
+}
+
+/// The compaction frontier of `s` (see
+/// [`OnlineMonitor::compaction_frontier`]): the longest prefix, at most
+/// `limit` long, in which every operation belongs to a `finished`
+/// transaction whose last operation also lies in that prefix.
+fn frontier_scan(s: &Schedule, finished: &HashSet<TxnId>, limit: usize) -> usize {
+    let mut hi = s.base();
+    let mut frontier = s.base();
+    for p in s.base()..limit {
+        let slot = s.slot_of_op(OpIndex(p));
+        if !finished.contains(&s.txn_ids()[slot]) {
+            break;
+        }
+        let last = s.slot_last_raw(slot) as usize;
+        if last >= limit {
+            break;
+        }
+        hi = hi.max(last + 1);
+        if p + 1 == hi {
+            frontier = p + 1;
+        }
+    }
+    frontier
 }
 
 /// The transactions collapsed into the permanent prefix by
@@ -666,13 +718,8 @@ pub struct OnlineMonitor {
     scopes: Vec<ItemSet>,
     global: ProjGraph,
     conjuncts: Vec<ProjGraph>,
-    /// Per slot: items this transaction wrote that another transaction
-    /// has read — its *next* operation materializes a dirty read.
-    dirty_reads: Vec<ItemSet>,
-    first_non_dr: Option<OpIndex>,
-    /// Per conjunct: first position where an in-scope dirty read
-    /// materialized (kills the Lemma 6 certificate for that scope).
-    conjunct_non_dr: Vec<Option<OpIndex>>,
+    /// Delayed-read marks and kills (the shared [`delayed`] rules).
+    dr: DelayedReads,
     first_violation: Option<OpIndex>,
     /// What is known about the generating programs (Theorem 1 input;
     /// static, supplied at construction).
@@ -688,7 +735,7 @@ pub struct OnlineMonitor {
     /// Transactions declared finished ([`OnlineMonitor::finish_txn`])
     /// but not yet summarized — the compaction frontier advances only
     /// over finished transactions.
-    finished: std::collections::HashSet<TxnId>,
+    finished: HashSet<TxnId>,
     /// Transactions collapsed into the permanent prefix: pushes for
     /// them are rejected with [`CoreError::SummarizedTransaction`].
     summarized: SummarizedSet,
@@ -721,15 +768,13 @@ impl OnlineMonitor {
             scopes,
             global: ProjGraph::default(),
             conjuncts: vec![ProjGraph::default(); n],
-            dirty_reads: Vec::new(),
-            first_non_dr: None,
-            conjunct_non_dr: vec![None; n],
+            dr: DelayedReads::new(n),
             first_violation: None,
             traits,
             scopes_disjoint,
             access_dag: OnlineAccessDag::new(n),
             log: None,
-            finished: std::collections::HashSet::new(),
+            finished: HashSet::new(),
             summarized: SummarizedSet::default(),
             compactions: 0,
             ops_reclaimed: 0,
@@ -787,40 +832,20 @@ impl OnlineMonitor {
             ..PushDelta::default()
         };
         let p = self.index.push(op)?;
-        let slot = self.index.schedule().slot_of_op(p);
-        if self.dirty_reads.len() <= slot {
-            self.dirty_reads.resize_with(slot + 1, ItemSet::new);
-        }
-        // 1. This operation proves its transaction was still running:
-        //    any earlier read *from* it is now a DR violation.
-        if !self.dirty_reads[slot].is_empty() {
-            if self.first_non_dr.is_none() {
-                self.first_non_dr = Some(p);
-                delta.global.set_first_non_dr = true;
-            }
-            for (k, scope) in self.scopes.iter().enumerate() {
-                if self.conjunct_non_dr[k].is_none() && !scope.is_disjoint(&self.dirty_reads[slot])
-                {
-                    self.conjunct_non_dr[k] = Some(p);
-                    delta.global.conjunct_non_dr_set.push(k as u32);
-                }
-            }
-        }
-        // 2. A read leaves a pending mark on its reads-from writer; the
-        //    writer's next operation (step 1, later push) trips it. A
-        //    writer below the compaction base is summarized, hence
-        //    finished: its mark could never trip, so skipping it keeps
-        //    verdict parity with the uncompacted twin.
-        if is_read {
-            if let Some(w) = self.index.reads_from(p) {
-                if w.0 >= self.index.schedule().base() {
-                    let w_slot = self.index.schedule().slot_of_op(w);
-                    if w_slot != slot && self.dirty_reads[w_slot].insert(item) {
-                        delta.global.dr_mark = Some(w_slot as u32);
-                    }
-                }
-            }
-        }
+        let schedule = self.index.schedule();
+        let slot = schedule.slot_of_op(p);
+        // 1–2. Delayed-read rules; a read's reads-from writer below the
+        //      compaction base carries no mark (see `DelayedReads::apply`).
+        let rf_slot = if is_read {
+            self.index
+                .reads_from(p)
+                .filter(|w| w.0 >= schedule.base())
+                .map(|w| schedule.slot_of_op(w))
+        } else {
+            None
+        };
+        self.dr
+            .apply(&self.scopes, slot, item, rf_slot, p, &mut delta.global);
         // 3. Conflict graphs: global plus every scope containing the
         //    item (this is where serializability / PWSR flip), and the
         //    live data access graph (Theorem 3's hypothesis).
@@ -968,25 +993,13 @@ impl OnlineMonitor {
             for (k, d) in delta.conjuncts.into_iter().rev() {
                 self.conjuncts[k as usize].undo(slot, item.index(), is_write, d);
             }
-            self.global
-                .undo(slot, item.index(), is_write, delta.global.graph);
             if delta.set_first_violation {
                 self.first_violation = None;
             }
-            for k in delta.global.conjunct_non_dr_set {
-                self.conjunct_non_dr[k as usize] = None;
-            }
-            if delta.global.set_first_non_dr {
-                self.first_non_dr = None;
-            }
-            if let Some(w_slot) = delta.global.dr_mark {
-                self.dirty_reads[w_slot as usize].remove(item);
-            }
+            self.dr.undo(slot, item, delta.seq.new_slot, &delta.global);
+            self.global
+                .undo(slot, item.index(), is_write, delta.global.graph);
             self.index.pop_for_undo(&delta.seq);
-            if delta.seq.new_slot {
-                self.dirty_reads
-                    .truncate(self.index.schedule().txn_ids().len());
-            }
         }
         undone
     }
@@ -1035,25 +1048,7 @@ impl OnlineMonitor {
     /// frontier-safety condition shared with checkpointing and WAL
     /// truncation).
     pub fn compaction_frontier(&self) -> usize {
-        let s = self.index.schedule();
-        let limit = self.log_floor();
-        let mut hi = s.base();
-        let mut frontier = s.base();
-        for p in s.base()..limit {
-            let slot = s.slot_of_op(OpIndex(p));
-            if !self.finished.contains(&s.txn_ids()[slot]) {
-                break;
-            }
-            let last = s.slot_last_raw(slot) as usize;
-            if last >= limit {
-                break;
-            }
-            hi = hi.max(last + 1);
-            if p + 1 == hi {
-                frontier = p + 1;
-            }
-        }
-        frontier
+        frontier_scan(self.index.schedule(), &self.finished, self.log_floor())
     }
 
     /// **Committed-prefix compaction**: collapse the prefix below
@@ -1114,7 +1109,7 @@ impl OnlineMonitor {
                 }
             }
         }
-        self.dirty_reads.drain(..s_cut.min(self.dirty_reads.len()));
+        self.dr.compact(s_cut);
         self.access_dag.compact_entities(s_cut);
         for t in &summarized {
             self.finished.remove(t);
@@ -1174,7 +1169,7 @@ impl OnlineMonitor {
             .iter()
             .map(ProjGraph::resident_bytes)
             .sum::<usize>();
-        total += self.dirty_reads.iter().map(itemset).sum::<usize>();
+        total += self.dr.resident_bytes();
         total += self.logged_len() * size_of::<PushDelta>();
         total += self.summarized.resident_bytes();
         total
@@ -1194,12 +1189,7 @@ impl OnlineMonitor {
             AdmissionLevel::Serializable => self.admits_graph_global(slot, item.index(), is_write),
             AdmissionLevel::Pwsr => self.admits_conjuncts(slot, item, is_write),
             AdmissionLevel::PwsrDr => {
-                // Any operation of a dirtily-read transaction
-                // materializes the DR violation.
-                let clean = slot
-                    .and_then(|s| self.dirty_reads.get(s))
-                    .is_none_or(ItemSet::is_empty);
-                clean && self.admits_conjuncts(slot, item, is_write)
+                self.dr.admits(slot) && self.admits_conjuncts(slot, item, is_write)
             }
         }
     }
@@ -1218,21 +1208,12 @@ impl OnlineMonitor {
 
     /// The current verdict (what the last `push` returned).
     pub fn verdict(&self) -> Verdict {
-        let serializable = self.global.serializable();
-        let pwsr = self.first_violation.is_none();
-        let dr = self.first_non_dr.is_none();
-        let level = VerdictLevel::compose(serializable, dr, pwsr);
-        Verdict {
-            len: self.index.len(),
-            level,
-            serializable,
-            dr,
-            first_violation: self.first_violation,
-            first_non_serializable: self.global.cyclic_at,
-            first_non_dr: self.first_non_dr,
-            lemma2_certified: pwsr,
-            lemma6_certified: pwsr && self.conjunct_non_dr.iter().all(Option::is_none),
-        }
+        Verdict::assemble(
+            self.index.len(),
+            &self.global,
+            &self.dr,
+            self.first_violation,
+        )
     }
 
     /// The underlying growing index (schedule + query tables).
@@ -1279,7 +1260,7 @@ impl OnlineMonitor {
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
-        self.conjuncts[k].serializable() && self.conjunct_non_dr[k].is_none()
+        self.conjuncts[k].serializable() && self.dr.conjunct_clean(k)
     }
 
     /// First position whose projection on conjunct `k` is cyclic.
@@ -1344,7 +1325,7 @@ impl OnlineMonitor {
             if self.traits.all_fixed_structure == Some(true) {
                 out.push(Guarantee::Theorem1FixedStructure);
             }
-            if self.first_non_dr.is_none() {
+            if self.dr.first_non_dr().is_none() {
                 out.push(Guarantee::Theorem2DelayedRead);
             }
             if self.access_dag.is_acyclic() {

@@ -16,7 +16,9 @@
 //! ## The ticketed pipeline
 //!
 //! A monitored prefix is a *total order*, so something must define it.
-//! [`ShardedMonitor::push`] splits each operation into three stages:
+//! Every admission runs one pipeline — [`ShardedMonitor::push`] is a
+//! run of one operation, [`ShardedMonitor::push_batch`] a run of one
+//! transaction's operations — split into three stages:
 //!
 //! 1. **sequence** (one short mutex): append to the growing
 //!    [`Schedule`], update the `last_write`/reads-from entry, and
@@ -80,11 +82,12 @@
 //! counted per shard, not `O(schedule)`.
 //! [`ShardedMonitor::retract_txn`] is the abort primitive on top:
 //! truncate to the aborting transaction's first operation, then
-//! re-push the surviving interleaving (which can never introduce a
-//! new violation: removing operations only removes conflict edges and
-//! DR marks). Both leave the monitor byte-identical to a single-writer
-//! replay of the surviving schedule — pinned under real-thread abort
-//! storms by `tests/sharded_props.rs`.
+//! re-push the surviving interleaving (removing operations only removes
+//! conflict edges, but a cycle that was masked while a projection was
+//! frozen can surface — see [`ShardedMonitor::retract_txn`]). Both
+//! leave the monitor byte-identical to a single-writer replay of the
+//! surviving schedule — pinned under real-thread abort storms by
+//! `tests/sharded_props.rs`.
 //!
 //! [`ShardedMonitor::checkpoint`] bounds the journals' memory over a
 //! long run: once the caller knows which transactions may still
@@ -106,12 +109,12 @@
 //! lock-taking entry point through every interleaving of a small
 //! workload.
 
+use super::delayed::DelayedReads;
 use super::journal::MonitorJournal;
 use super::undo::{GlobalDelta, GraphDelta, SeqDelta, UndoLog};
 use super::{AdmissionLevel, CompactStats, ProjGraph, SummarizedSet, Verdict, VerdictLevel};
 use crate::error::{CoreError, Result};
 use crate::ids::{ItemId, OpIndex, TxnId};
-use crate::op::Action;
 use crate::op::Operation;
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
@@ -123,6 +126,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const NO_POS: u32 = u32::MAX;
+
+/// Runs up to this long keep their per-op [`Staged`] records on the
+/// stack ([`ShardedMonitor::with_scratch`]).
+const INLINE_RUN: usize = 4;
+/// Runs touching up to this many conjunct shards keep their
+/// [`ShardTurn`]s on the stack.
+const INLINE_TURNS: usize = 8;
 
 /// The pipeline's deadlock-freedom discipline, made checkable: every
 /// lock carries a numeric *rank* — sequence mutex [`RANK_SEQ`] = 0,
@@ -296,6 +306,54 @@ struct TxnTotals {
     ws: ItemSet,
 }
 
+impl TxnTotals {
+    /// Clear the bits `ops` set (a rejected or unclaimed run).
+    fn forget(&mut self, ops: &[Operation]) {
+        for op in ops {
+            if op.is_write() {
+                self.ws.remove(op.item);
+            } else {
+                self.rs.remove(op.item);
+            }
+        }
+    }
+}
+
+/// One operation's results across the pipeline stages, kept in
+/// program order until the floor publication.
+#[derive(Clone, Copy, Debug, Default)]
+struct Staged {
+    /// Stage 1: slot of the write this read takes its value from.
+    rf_slot: Option<u32>,
+    /// Stage 2: the prefix ending here is serializable / DR.
+    serializable: bool,
+    dr: bool,
+    /// Stage 2: this operation closed the first global cycle /
+    /// materialized the first dirty read.
+    caused_non_serializable: bool,
+    caused_non_dr: bool,
+    /// Stage 3: this operation closed the first cycle of a conjunct.
+    caused_violation: bool,
+}
+
+/// One touched conjunct shard's turn for a run: the run's operations
+/// in the shard's scope hold its tickets `[start, start + count)`.
+#[derive(Clone, Copy, Debug, Default)]
+struct ShardTurn {
+    shard: u32,
+    start: u32,
+    count: u32,
+}
+
+/// What stage 1 claimed for a run: its first position, its
+/// transaction's slot, and its first global ticket.
+#[derive(Clone, Copy, Debug)]
+struct Claim {
+    p0: usize,
+    slot: usize,
+    g0: u32,
+}
+
 /// Stage-1 state: the order-defining serial section.
 #[derive(Debug)]
 struct SeqState {
@@ -333,12 +391,9 @@ struct SeqState {
 struct GlobalState {
     /// The global reduced conflict graph (serializability).
     graph: ProjGraph,
-    /// Per slot: items written that someone else has read — the
-    /// writer's next operation materializes the dirty read.
-    dirty_reads: Vec<ItemSet>,
-    first_non_dr: Option<OpIndex>,
-    /// Per conjunct: first in-scope dirty-read materialization.
-    conjunct_non_dr: Vec<Option<OpIndex>>,
+    /// Delayed-read marks and kills (the shared
+    /// [`delayed`](super::delayed) rules).
+    dr: DelayedReads,
     /// Global-half undo journal (entries only when logging).
     log: UndoLog<GlobalDelta>,
 }
@@ -453,6 +508,10 @@ impl PushOutcome {
 #[derive(Debug)]
 pub struct ShardedMonitor {
     scopes: Vec<ItemSet>,
+    /// Per item: the conjuncts whose scope contains it, ascending — so
+    /// admission and retraction visit only an operation's own shards,
+    /// however many conjuncts the monitor has.
+    conjuncts_of: Vec<Vec<u32>>,
     /// Per transaction: §2.2 running totals, outside the serial
     /// section (see [`TxnTotals`]).
     totals: RwLock<HashMap<TxnId, Arc<Mutex<TxnTotals>>>>,
@@ -493,8 +552,18 @@ impl ShardedMonitor {
 
     fn build(scopes: Vec<ItemSet>, logging: bool) -> ShardedMonitor {
         let n = scopes.len();
+        let mut conjuncts_of: Vec<Vec<u32>> = Vec::new();
+        for (k, scope) in scopes.iter().enumerate() {
+            for item in scope.iter() {
+                if conjuncts_of.len() <= item.index() {
+                    conjuncts_of.resize_with(item.index() + 1, Vec::new);
+                }
+                conjuncts_of[item.index()].push(k as u32);
+            }
+        }
         ShardedMonitor {
             scopes,
+            conjuncts_of,
             totals: RwLock::new(HashMap::new()),
             seq: RankedMutex::new(
                 RANK_SEQ,
@@ -517,9 +586,7 @@ impl ShardedMonitor {
                 RANK_GLOBAL,
                 GlobalState {
                     graph: ProjGraph::default(),
-                    dirty_reads: Vec::new(),
-                    first_non_dr: None,
-                    conjunct_non_dr: vec![None; n],
+                    dr: DelayedReads::new(n),
                     log: UndoLog::new(0),
                 },
             ),
@@ -597,6 +664,13 @@ impl ShardedMonitor {
         self.len() == 0
     }
 
+    /// The conjuncts whose scope contains `item`, ascending.
+    fn conjuncts_of(&self, item: ItemId) -> &[u32] {
+        self.conjuncts_of
+            .get(item.index())
+            .map_or(&[], Vec::as_slice)
+    }
+
     /// The §2.2 totals cell of `txn` (created on first use).
     fn totals_cell(&self, txn: TxnId) -> Arc<Mutex<TxnTotals>> {
         if let Some(cell) = self.totals.read().get(&txn) {
@@ -619,101 +693,12 @@ impl ShardedMonitor {
     /// [`ShardedMonitor::push`] returning the full [`PushOutcome`]:
     /// the floor plus the flags saying whether *this* operation broke
     /// a verdict rung — what an optimistic executor's abort decision
-    /// keys on.
+    /// keys on. A run of one through the admission pipeline; an
+    /// attached [`MonitorJournal`] receives one `appended` call.
     pub fn push_outcome(&self, op: Operation) -> Result<PushOutcome> {
-        let (txn, item, action) = (op.txn, op.item, op.action);
-        let is_write = action == Action::Write;
-        // Touched conjuncts, gathered outside every lock (tickets are
-        // filled in under the sequence lock — one allocation total on
-        // the hot path).
-        let mut turns: Vec<(usize, u32)> = self
-            .scopes
-            .iter()
-            .enumerate()
-            .filter(|(_, scope)| scope.contains(item))
-            .map(|(k, _)| (k, 0))
-            .collect();
-
-        // --- §2.2 validation: outside the serial section ---------------
-        // The same check, by the same code, as the single-writer index
-        // — parity by construction. The totals cell belongs to this
-        // thread by the program-order contract, so no ordering is lost
-        // by validating before the position is claimed.
-        let cell = self.totals_cell(txn);
-        {
-            let mut t = cell.lock();
-            super::validate_22(&t.rs, &t.ws, &op)?;
-            if is_write {
-                t.ws.insert(item);
-            } else {
-                t.rs.insert(item);
-            }
-        }
-
-        // --- stage 1: claim the position -------------------------------
-        let (p, slot, rf_slot, gticket) = {
-            let mut s = self.seq.lock();
-            if s.summarized.contains(txn) {
-                // Roll back the §2.2 bit set above: the push never
-                // claimed a position, so the totals must not remember
-                // it.
-                drop(s);
-                let mut t = cell.lock();
-                if is_write {
-                    t.ws.remove(item);
-                } else {
-                    t.rs.remove(item);
-                }
-                return Err(CoreError::SummarizedTransaction { txn });
-            }
-            let t0 = self.time_serial.then(Instant::now);
-            if let Some(journal) = s.journal.as_deref_mut() {
-                journal.appended(&op);
-            }
-            let claimed = self.stage_seq(&mut s, op, &mut turns);
-            // Claimed under the sequence lock, released after the
-            // floor publication below: a retraction's drain waits for
-            // this to reach zero, so it can never interleave between
-            // a push's stage work and its (stale-state) `fetch_max`.
-            self.inflight.fetch_add(1, Ordering::AcqRel);
-            if let Some(t0) = t0 {
-                self.serial_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                self.serial_ops.fetch_add(1, Ordering::Relaxed);
-            }
-            claimed
-        };
-
-        // --- stage 2: global graph + delayed-read, in position order ---
-        wait_turn(&self.gserving, gticket);
-        let (ser_now, dr_now, caused_non_serializable, caused_non_dr) = {
-            let mut g = self.gstate.write();
-            self.stage_global(&mut g, slot, item, is_write, rf_slot, p)
-        };
-        self.gserving.store(gticket + 1, Ordering::Release);
-
-        // --- stage 3: touched conjunct shards, per-shard order ---------
-        let mut caused_violation = false;
-        for &(k, t) in &turns {
-            let shard = &self.shards[k];
-            wait_turn(&shard.serving, t);
-            caused_violation |= self.stage_shard(k, slot, item, is_write, p);
-            shard.serving.store(t + 1, Ordering::Release);
-        }
-
-        // --- lock-free floor -------------------------------------------
-        let violation = self.first_violation.load(Ordering::Acquire) != NO_POS;
-        let level = VerdictLevel::compose(ser_now, dr_now, !violation);
-        let mine = rank(level);
-        let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
-        Ok(PushOutcome {
-            pos: p,
-            floor: level_of(prev.max(mine)),
-            caused_non_serializable,
-            caused_violation,
-            caused_non_dr,
-        })
+        let mut outcome = None;
+        self.admit(std::slice::from_ref(&op), false, |o| outcome = Some(o))?;
+        Ok(outcome.expect("a run of one reports one outcome"))
     }
 
     /// **Batch admission**: append one transaction's program-ordered
@@ -740,7 +725,7 @@ impl ShardedMonitor {
     /// identification and abort decisions need no batch-size cases.
     /// An attached [`MonitorJournal`] receives the run as **one**
     /// `appended_batch` call under the sequence mutex (the WAL frames
-    /// it as a single multi-op record).
+    /// it as a single multi-op record, even for a run of one).
     ///
     /// The slice must be nonempty operations of a **single
     /// transaction** in program order (panics otherwise — the batch
@@ -752,42 +737,44 @@ impl ShardedMonitor {
         let Some(first) = ops.first() else {
             return Ok(Vec::new());
         };
-        let txn = first.txn;
         assert!(
-            ops.iter().all(|o| o.txn == txn),
+            ops.iter().all(|o| o.txn == first.txn),
             "push_batch requires a single-transaction batch (the program-order unit)"
         );
-        let n = self.scopes.len();
-        // Touched conjuncts per shard, gathered outside every lock;
-        // tickets are assigned under the sequence lock. Entries are in
-        // program order within each shard, so per-shard ticket order
-        // equals singleton claim order.
-        let mut by_shard: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-        for (i, op) in ops.iter().enumerate() {
-            for (k, scope) in self.scopes.iter().enumerate() {
-                if scope.contains(op.item) {
-                    by_shard[k].push((i, 0));
-                }
-            }
-        }
+        let mut outcomes = Vec::with_capacity(ops.len());
+        self.admit(ops, true, |o| outcomes.push(o))?;
+        Ok(outcomes)
+    }
 
-        // --- §2.2 validation: the whole run, atomically ----------------
-        // One totals-cell lookup and one lock for the batch; on any
+    /// The one admission pipeline, for a nonempty single-transaction
+    /// run `ops` in program order: §2.2 validation, the sequence
+    /// claim, the global turn, the per-shard turns and the floor
+    /// publication. `batch_record` selects the journal framing — one
+    /// `appended_batch` call for the run, or one `appended` call for
+    /// a run of one. Each operation's [`PushOutcome`] goes to `emit`,
+    /// in program order.
+    fn admit(
+        &self,
+        ops: &[Operation],
+        batch_record: bool,
+        mut emit: impl FnMut(PushOutcome),
+    ) -> Result<()> {
+        let txn = ops[0].txn;
+
+        // --- §2.2 validation: outside the serial section ---------------
+        // The same check, by the same code, as the single-writer index
+        // — parity by construction. The totals cell belongs to this
+        // thread by the program-order contract, so no ordering is lost
+        // by validating before the positions are claimed. On any
         // failure the bits set for earlier operations roll back, so a
-        // rejected batch leaves no trace (validate_22 rejects
+        // rejected run leaves no trace (validate_22 rejects
         // duplicates, hence every bit set here was fresh).
         let cell = self.totals_cell(txn);
         {
             let mut t = cell.lock();
             for (i, op) in ops.iter().enumerate() {
                 if let Err(e) = super::validate_22(&t.rs, &t.ws, op) {
-                    for prior in &ops[..i] {
-                        if prior.is_write() {
-                            t.ws.remove(prior.item);
-                        } else {
-                            t.rs.remove(prior.item);
-                        }
-                    }
+                    t.forget(&ops[..i]);
                     return Err(e);
                 }
                 if op.is_write() {
@@ -798,136 +785,155 @@ impl ShardedMonitor {
             }
         }
 
-        // --- stage 1: claim the segment, once ---------------------------
-        let (p0, slot, rf_slots, g0) = {
-            let mut s = self.seq.lock();
-            if s.summarized.contains(txn) {
-                drop(s);
-                let mut t = cell.lock();
-                for op in ops {
-                    if op.is_write() {
-                        t.ws.remove(op.item);
+        self.with_scratch(ops, |staged, turns| {
+            // --- stage 1: claim the segment ------------------------------
+            let claim = {
+                let mut s = self.seq.lock();
+                if s.summarized.contains(txn) {
+                    // The run never claimed a position, so the totals
+                    // must not remember it.
+                    drop(s);
+                    cell.lock().forget(ops);
+                    return Err(CoreError::SummarizedTransaction { txn });
+                }
+                let t0 = self.time_serial.then(Instant::now);
+                if let Some(journal) = s.journal.as_deref_mut() {
+                    if batch_record {
+                        journal.appended_batch(ops);
                     } else {
-                        t.rs.remove(op.item);
+                        journal.appended(&ops[0]);
                     }
                 }
-                return Err(CoreError::SummarizedTransaction { txn });
-            }
-            let t0 = self.time_serial.then(Instant::now);
-            if let Some(journal) = s.journal.as_deref_mut() {
-                journal.appended_batch(ops);
-            }
-            let claimed = self.stage_seq_batch(&mut s, ops, &mut by_shard);
-            // One in-flight token covers the whole batch: the drain
-            // only needs to know the pipeline has unpublished floors,
-            // not how many.
-            self.inflight.fetch_add(1, Ordering::AcqRel);
-            if let Some(t0) = t0 {
-                self.serial_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                self.serial_ops
-                    .fetch_add(ops.len() as u64, Ordering::Relaxed);
-            }
-            claimed
-        };
-
-        // --- stage 2: one global turn for the run -----------------------
-        // Per-op results are captured in program order inside the one
-        // write-lock hold, so each operation's (serializable, dr)
-        // snapshot is prefix-exact — identical to singleton pushes.
-        wait_turn(&self.gserving, g0);
-        let mut global_out = Vec::with_capacity(ops.len());
-        {
-            let mut g = self.gstate.write();
-            for (i, op) in ops.iter().enumerate() {
-                global_out.push(self.stage_global(
-                    &mut g,
-                    slot,
-                    op.item,
-                    op.is_write(),
-                    rf_slots[i],
-                    OpIndex(p0 + i),
-                ));
-            }
-        }
-        self.gserving
-            .store(g0 + ops.len() as u32, Ordering::Release);
-
-        // --- stage 3: one turn per touched shard ------------------------
-        // The lock-free violation floor moves only through this
-        // batch's own `caused` flags in a single-writer interleaving,
-        // so capturing it before the shard turns and prefix-OR-ing the
-        // per-op flags reproduces exactly what each singleton push
-        // would have loaded after its own shard stages.
-        let viol_pre = self.first_violation.load(Ordering::Acquire) != NO_POS;
-        let mut caused_violation = vec![false; ops.len()];
-        for (k, entries) in by_shard.iter().enumerate() {
-            let Some(&(_, t0k)) = entries.first() else {
-                continue;
-            };
-            let shard = &self.shards[k];
-            wait_turn(&shard.serving, t0k);
-            {
-                let mut sh = shard.state.write();
-                for &(i, _) in entries {
-                    caused_violation[i] |= self.stage_shard_locked(
-                        &mut sh,
-                        slot,
-                        ops[i].item,
-                        ops[i].is_write(),
-                        OpIndex(p0 + i),
-                    );
+                let claim = self.stage_seq(&mut s, ops, staged, turns);
+                // Claimed under the sequence lock, released after the
+                // floor publication below: a retraction's drain waits
+                // for this to reach zero, so it can never interleave
+                // between a run's stage work and its (stale-state)
+                // `fetch_max`. One token covers the whole run.
+                self.inflight.fetch_add(1, Ordering::AcqRel);
+                if let Some(t0) = t0 {
+                    self.serial_ns
+                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    self.serial_ops
+                        .fetch_add(ops.len() as u64, Ordering::Relaxed);
                 }
-            }
-            shard
-                .serving
-                .store(t0k + entries.len() as u32, Ordering::Release);
-        }
+                claim
+            };
 
-        // --- lock-free floor, per op in program order -------------------
-        let mut viol_run = viol_pre;
-        let mut outcomes = Vec::with_capacity(ops.len());
-        for (i, &(ser_now, dr_now, caused_non_serializable, caused_non_dr)) in
-            global_out.iter().enumerate()
-        {
-            viol_run |= caused_violation[i];
-            let level = VerdictLevel::compose(ser_now, dr_now, !viol_run);
-            let mine = rank(level);
-            let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
-            outcomes.push(PushOutcome {
-                pos: OpIndex(p0 + i),
-                floor: level_of(prev.max(mine)),
-                caused_non_serializable,
-                caused_violation: caused_violation[i],
-                caused_non_dr,
-            });
-        }
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
-        Ok(outcomes)
+            // --- stages 2 and 3 ------------------------------------------
+            self.stage_turns(ops, claim, staged, turns);
+
+            // --- lock-free floor, per op in program order -----------------
+            // A conjunct cycle at a position at or before `p` makes the
+            // prefix ending at `p` non-PWSR; this run's own cycles were
+            // published by its shard turns, so one load after them
+            // gives every operation its prefix-exact answer.
+            let first_violation = self.first_violation.load(Ordering::Acquire) as usize;
+            for (i, st) in staged.iter().enumerate() {
+                let p = claim.p0 + i;
+                let level = VerdictLevel::compose(st.serializable, st.dr, first_violation > p);
+                let mine = rank(level);
+                let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
+                emit(PushOutcome {
+                    pos: OpIndex(p),
+                    floor: level_of(prev.max(mine)),
+                    caused_non_serializable: st.caused_non_serializable,
+                    caused_violation: st.caused_violation,
+                    caused_non_dr: st.caused_non_dr,
+                });
+            }
+            self.inflight.fetch_sub(1, Ordering::AcqRel);
+            Ok(())
+        })
     }
 
-    /// Stage 1 of the batch path, under the (held) sequence lock:
-    /// reserve the segment `[len, len + k)` in one `Schedule` append,
-    /// record one [`SeqDelta`] per operation (computed arithmetically
-    /// from the pre-batch snapshot — within a single-transaction run,
-    /// operation `i`'s previous-slot-last is simply `p0 + i - 1`, and
-    /// §2.2's read-after-write rejection guarantees no read in the run
-    /// resolves against a writer inside the run), and claim every
-    /// global and per-shard ticket atomically. The per-op deltas keep
-    /// `truncate_locked`'s one-pop-per-op rollback valid unchanged.
-    fn stage_seq_batch(
+    /// Run `f` over fresh per-op [`Staged`] records and the
+    /// [`ShardTurn`]s of the conjuncts the run `ops` touches, in
+    /// ascending shard order with their counts filled in (gathered
+    /// here, outside every lock). Both live on the stack for runs of
+    /// at most [`INLINE_RUN`] operations touching at most
+    /// [`INLINE_TURNS`] shards, so short runs admit without a heap
+    /// allocation however many conjuncts the monitor has.
+    fn with_scratch<R>(
+        &self,
+        ops: &[Operation],
+        f: impl FnOnce(&mut [Staged], &mut [ShardTurn]) -> R,
+    ) -> R {
+        let mut staged_inline = [Staged::default(); INLINE_RUN];
+        let mut staged_heap: Vec<Staged>;
+        let staged = if ops.len() <= INLINE_RUN {
+            &mut staged_inline[..ops.len()]
+        } else {
+            staged_heap = vec![Staged::default(); ops.len()];
+            &mut staged_heap[..]
+        };
+        // The turns live inline until an append finds them full, then
+        // move to the heap for good.
+        let mut turns_inline = [ShardTurn::default(); INLINE_TURNS];
+        let mut turns_heap: Vec<ShardTurn> = Vec::new();
+        let mut touched = 0;
+        for op in ops {
+            for &shard in self.conjuncts_of(op.item) {
+                let turns = if turns_heap.is_empty() {
+                    &mut turns_inline[..touched]
+                } else {
+                    &mut turns_heap[..]
+                };
+                if let Some(turn) = turns.iter_mut().find(|t| t.shard == shard) {
+                    turn.count += 1;
+                    continue;
+                }
+                let turn = ShardTurn {
+                    shard,
+                    start: 0,
+                    count: 1,
+                };
+                if touched == INLINE_TURNS {
+                    turns_heap.extend_from_slice(&turns_inline);
+                }
+                if turns_heap.is_empty() {
+                    turns_inline[touched] = turn;
+                } else {
+                    turns_heap.push(turn);
+                }
+                touched += 1;
+            }
+        }
+        let turns = if turns_heap.is_empty() {
+            &mut turns_inline[..touched]
+        } else {
+            &mut turns_heap[..]
+        };
+        turns.sort_unstable_by_key(|t| t.shard);
+        f(staged, turns)
+    }
+
+    /// Stage 1 under the (held) sequence lock: reserve the segment
+    /// `[p0, p0 + k)` in one `Schedule` append, record one
+    /// [`SeqDelta`] per operation, resolve each read's reads-from slot
+    /// into `staged`, and claim the run's global tickets `[g0, g0 + k)`
+    /// and each touched shard's ticket range (the `start` of every
+    /// [`ShardTurn`]; counts filled in by the caller). The deltas are computed
+    /// arithmetically from the pre-run snapshot — within a
+    /// single-transaction run, operation `i`'s previous-slot-last is
+    /// simply `p0 + i - 1`, and §2.2's read-after-write rejection
+    /// guarantees no read in the run resolves against a writer inside
+    /// the run — so `truncate_locked`'s one-pop-per-op rollback holds
+    /// for any run length. The caller has already reported the append
+    /// to the durability journal.
+    fn stage_seq(
         &self,
         s: &mut SeqState,
         ops: &[Operation],
-        by_shard: &mut [Vec<(usize, u32)>],
-    ) -> (usize, usize, Vec<Option<usize>>, u32) {
+        staged: &mut [Staged],
+        turns: &mut [ShardTurn],
+    ) -> Claim {
         let p0 = s.schedule.len();
         let base = s.schedule.base();
         let existing = s.schedule.txn_slot(ops[0].txn);
         let pre_slot_last = existing.map_or(0, |sl| s.schedule.slot_last_raw(sl));
         let mut cur_ub = s.schedule.item_ub();
-        let mut rf_slots = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
+        for (i, (op, st)) in ops.iter().zip(staged.iter_mut()).enumerate() {
             let idx = op.item.index();
             let delta = SeqDelta {
                 new_slot: existing.is_none() && i == 0,
@@ -940,18 +946,19 @@ impl ShardedMonitor {
                 },
             };
             cur_ub = cur_ub.max(idx + 1);
-            let rf = if op.is_write() {
+            st.rf_slot = if op.is_write() {
                 if s.last_write.len() <= idx {
                     s.last_write.resize(idx + 1, NO_POS);
                 }
                 s.last_write[idx] = (p0 + i) as u32;
                 None
             } else {
+                // A writer below the compaction base is summarized:
+                // no mark (see `DelayedReads::apply`).
                 let w = s.last_write.get(idx).copied().unwrap_or(NO_POS);
                 (w != NO_POS && w as usize >= base)
-                    .then(|| s.schedule.slot_of_op(OpIndex(w as usize)))
+                    .then(|| s.schedule.slot_of_op(OpIndex(w as usize)) as u32)
             };
-            rf_slots.push(rf);
             if self.logging {
                 s.log.record(delta);
             }
@@ -962,146 +969,97 @@ impl ShardedMonitor {
         }
         let g0 = s.gticket;
         s.gticket += ops.len() as u32;
-        for (k, entries) in by_shard.iter_mut().enumerate() {
-            for entry in entries.iter_mut() {
-                entry.1 = s.tickets[k];
-                s.tickets[k] += 1;
-            }
+        for turn in turns.iter_mut() {
+            let next = &mut s.tickets[turn.shard as usize];
+            turn.start = *next;
+            *next += turn.count;
         }
-        (p0, slot, rf_slots, g0)
+        Claim { p0, slot, g0 }
     }
 
-    /// Stage 1 under the (held) sequence lock: append, maintain the
-    /// order tables, claim tickets, record the sequence-half undo
-    /// delta. The caller has already reported the append to the
-    /// durability journal (hoisted so the batch path can report one
-    /// framed multi-op record instead of per-op calls).
-    fn stage_seq(
+    /// Stages 2 and 3 for a claimed run: one global turn (one
+    /// turnstile wait and one write-lock hold for the whole run), then
+    /// one turn per touched conjunct shard, ascending. Per-op results
+    /// land in `staged` in program order inside each lock hold, so
+    /// every operation's snapshot is prefix-exact. [`ShardedMonitor::admit`]
+    /// calls this after releasing the sequence lock;
+    /// [`ShardedMonitor::retract_txn`]'s re-push calls it with the lock
+    /// held and the pipeline drained, so every wait returns at once.
+    fn stage_turns(
         &self,
-        s: &mut SeqState,
-        op: Operation,
-        turns: &mut [(usize, u32)],
-    ) -> (OpIndex, usize, Option<usize>, u32) {
-        let (item, is_write) = (op.item, op.is_write());
-        let existing = s.schedule.txn_slot(op.txn);
-        let delta = SeqDelta {
-            new_slot: existing.is_none(),
-            prev_item_ub: s.schedule.item_ub(),
-            prev_last_write: s.last_write.get(item.index()).copied().unwrap_or(NO_POS),
-            prev_slot_last: existing.map_or(0, |sl| s.schedule.slot_last_raw(sl)),
-        };
-        let p = OpIndex(s.schedule.len());
-        s.schedule.push_op_unchecked(op);
-        let slot = s.schedule.slot_of_op(p);
-        if slot == s.first_op.len() {
-            s.first_op.push(p.0 as u32);
-        }
-        let rf_slot = if is_write {
-            if s.last_write.len() <= item.index() {
-                s.last_write.resize(item.index() + 1, NO_POS);
+        ops: &[Operation],
+        claim: Claim,
+        staged: &mut [Staged],
+        turns: &[ShardTurn],
+    ) {
+        let Claim { p0, slot, g0 } = claim;
+        wait_turn(&self.gserving, g0);
+        {
+            let mut g = self.gstate.write();
+            for (i, (op, st)) in ops.iter().zip(staged.iter_mut()).enumerate() {
+                self.stage_global(&mut g, slot, op, OpIndex(p0 + i), st);
             }
-            s.last_write[item.index()] = p.0 as u32;
-            None
-        } else {
-            // A writer below the compaction base is summarized, hence
-            // finished: its dirty-read mark could never trip, so
-            // skipping it keeps verdict parity with an uncompacted
-            // replay (its row was reclaimed).
-            let w = s.last_write.get(item.index()).copied().unwrap_or(NO_POS);
-            (w != NO_POS && w as usize >= s.schedule.base())
-                .then(|| s.schedule.slot_of_op(OpIndex(w as usize)))
-        };
-        let gticket = s.gticket;
-        s.gticket += 1;
-        for (k, ticket) in turns.iter_mut() {
-            *ticket = s.tickets[*k];
-            s.tickets[*k] += 1;
         }
-        if self.logging {
-            s.log.record(delta);
+        self.gserving
+            .store(g0 + ops.len() as u32, Ordering::Release);
+        for turn in turns {
+            let (scope, shard) = (
+                &self.scopes[turn.shard as usize],
+                &self.shards[turn.shard as usize],
+            );
+            wait_turn(&shard.serving, turn.start);
+            {
+                let mut sh = shard.state.write();
+                for (i, (op, st)) in ops.iter().zip(staged.iter_mut()).enumerate() {
+                    if scope.contains(op.item) {
+                        st.caused_violation |= self.stage_shard(&mut sh, slot, op, OpIndex(p0 + i));
+                    }
+                }
+            }
+            shard
+                .serving
+                .store(turn.start + turn.count, Ordering::Release);
         }
-        (p, slot, rf_slot, gticket)
     }
 
-    /// Stage 2 under the (held) global lock. Returns `(serializable,
-    /// dr, caused_non_serializable, caused_non_dr)` for the prefix
+    /// Stage 2 for the operation at `p`, under the (held) global lock:
+    /// the delayed-read rules and the global graph. Fills `st`'s
+    /// `(serializable, dr)` snapshot and causality flags for the prefix
     /// ending at `p` — exact, because tickets serve in position order.
     fn stage_global(
         &self,
         g: &mut GlobalState,
         slot: usize,
-        item: ItemId,
-        is_write: bool,
-        rf_slot: Option<usize>,
+        op: &Operation,
         p: OpIndex,
-    ) -> (bool, bool, bool, bool) {
+        st: &mut Staged,
+    ) {
         let mut delta = GlobalDelta::default();
-        if g.dirty_reads.len() <= slot {
-            g.dirty_reads.resize_with(slot + 1, ItemSet::new);
-        }
-        let mut caused_non_dr = false;
-        if !g.dirty_reads[slot].is_empty() {
-            if g.first_non_dr.is_none() {
-                g.first_non_dr = Some(p);
-                delta.set_first_non_dr = true;
-                caused_non_dr = true;
-            }
-            for (k, scope) in self.scopes.iter().enumerate() {
-                if g.conjunct_non_dr[k].is_none() && !scope.is_disjoint(&g.dirty_reads[slot]) {
-                    g.conjunct_non_dr[k] = Some(p);
-                    delta.conjunct_non_dr_set.push(k as u32);
-                }
-            }
-        }
-        if !is_write {
-            if let Some(w_slot) = rf_slot {
-                if w_slot != slot && g.dirty_reads[w_slot].insert(item) {
-                    delta.dr_mark = Some(w_slot as u32);
-                }
-            }
-        }
+        let rf_slot = st.rf_slot.map(|w| w as usize);
+        st.caused_non_dr =
+            g.dr.apply(&self.scopes, slot, op.item, rf_slot, p, &mut delta);
+        let (item, is_write) = (op.item.index(), op.is_write());
         if self.logging {
-            delta.graph = g.graph.apply_logged(slot, item.index(), is_write, p);
-        } else {
-            g.graph.apply(slot, item.index(), is_write, p);
-        }
-        let caused_non_serializable = g.graph.cyclic_at == Some(p);
-        let out = (
-            g.graph.serializable(),
-            g.first_non_dr.is_none(),
-            caused_non_serializable,
-            caused_non_dr,
-        );
-        if self.logging {
+            delta.graph = g.graph.apply_logged(slot, item, is_write, p);
             g.log.record(delta);
+        } else {
+            g.graph.apply(slot, item, is_write, p);
         }
-        out
+        st.caused_non_serializable = g.graph.cyclic_at == Some(p);
+        st.serializable = g.graph.serializable();
+        st.dr = g.dr.first_non_dr().is_none();
     }
 
-    /// Stage 3 for shard `k` (takes the shard's write lock; the caller
-    /// holds its ticket). Returns whether this access closed the
-    /// conjunct's first cycle.
-    fn stage_shard(&self, k: usize, slot: usize, item: ItemId, is_write: bool, p: OpIndex) -> bool {
-        let mut sh = self.shards[k].state.write();
-        self.stage_shard_locked(&mut sh, slot, item, is_write, p)
-    }
-
-    /// Stage 3's body against an already-locked shard — the batch path
-    /// holds one write lock per touched shard and runs its whole run
-    /// of in-scope operations through this, in ticket order.
-    fn stage_shard_locked(
-        &self,
-        sh: &mut ShardState,
-        slot: usize,
-        item: ItemId,
-        is_write: bool,
-        p: OpIndex,
-    ) -> bool {
+    /// Stage 3 for the operation at `p` against an already-locked
+    /// shard (the caller holds its ticket). Returns whether this access
+    /// closed the conjunct's first cycle.
+    fn stage_shard(&self, sh: &mut ShardState, slot: usize, op: &Operation, p: OpIndex) -> bool {
+        let (item, is_write) = (op.item.index(), op.is_write());
         if self.logging {
-            let d = sh.graph.apply_logged(slot, item.index(), is_write, p);
+            let d = sh.graph.apply_logged(slot, item, is_write, p);
             sh.log.push((p.0 as u32, d));
         } else {
-            sh.graph.apply(slot, item.index(), is_write, p);
+            sh.graph.apply(slot, item, is_write, p);
         }
         let closed = sh.graph.cyclic_at == Some(p);
         if closed {
@@ -1243,23 +1201,7 @@ impl ShardedMonitor {
         } else {
             s.schedule.len()
         };
-        let mut hi = s.schedule.base();
-        let mut frontier = s.schedule.base();
-        for p in s.schedule.base()..limit {
-            let slot = s.schedule.slot_of_op(OpIndex(p));
-            if !s.finished.contains(&s.schedule.txn_ids()[slot]) {
-                break;
-            }
-            let last = s.schedule.slot_last_raw(slot) as usize;
-            if last >= limit {
-                break;
-            }
-            hi = hi.max(last + 1);
-            if p + 1 == hi {
-                frontier = p + 1;
-            }
-        }
-        frontier
+        super::frontier_scan(&s.schedule, &s.finished, limit)
     }
 
     /// **Committed-prefix compaction**, sharded: collapse the prefix
@@ -1306,8 +1248,7 @@ impl ShardedMonitor {
         for delta in g.log.iter_mut() {
             delta.remap(&gmap, s_cut as u32);
         }
-        let rows = g.dirty_reads.len();
-        g.dirty_reads.drain(..s_cut.min(rows));
+        g.dr.compact(s_cut);
         drop(g);
         // Conjunct shards, ascending rank.
         for shard in &self.shards {
@@ -1368,7 +1309,6 @@ impl ShardedMonitor {
     /// hook. Quiesces briefly (takes each stage's lock in rank order).
     pub fn resident_bytes_estimate(&self) -> usize {
         use std::mem::size_of;
-        let itemset = |set: &ItemSet| size_of::<ItemSet>() + set.len().div_ceil(8);
         let s = self.seq.lock();
         let mut total = std::mem::size_of_val(s.schedule.ops())
             + s.schedule.txn_ids().len()
@@ -1379,7 +1319,7 @@ impl ShardedMonitor {
         {
             let g = self.gstate.read();
             total += g.graph.resident_bytes();
-            total += g.dirty_reads.iter().map(itemset).sum::<usize>();
+            total += g.dr.resident_bytes();
             total += g.log.len() * size_of::<GlobalDelta>();
         }
         for shard in &self.shards {
@@ -1436,10 +1376,8 @@ impl ShardedMonitor {
             let sd = s.log.pop().expect("one sequence entry per logged push");
             // Shards first (reverse of push order); ticket turnstiles
             // roll back one step so re-claimed tickets line up.
-            for (k, scope) in self.scopes.iter().enumerate().rev() {
-                if !scope.contains(item) {
-                    continue;
-                }
+            for &k in self.conjuncts_of(item).iter().rev() {
+                let k = k as usize;
                 {
                     let mut sh = self.shards[k].state.write();
                     let (pos, d) = sh.log.pop().expect("one shard entry per touched push");
@@ -1455,19 +1393,8 @@ impl ShardedMonitor {
             {
                 let mut g = self.gstate.write();
                 let gd = g.log.pop().expect("one global entry per logged push");
+                g.dr.undo(slot, item, sd.new_slot, &gd);
                 g.graph.undo(slot, item.index(), is_write, gd.graph);
-                if let Some(w_slot) = gd.dr_mark {
-                    g.dirty_reads[w_slot as usize].remove(item);
-                }
-                for k in gd.conjunct_non_dr_set {
-                    g.conjunct_non_dr[k as usize] = None;
-                }
-                if gd.set_first_non_dr {
-                    g.first_non_dr = None;
-                }
-                if sd.new_slot {
-                    g.dirty_reads.truncate(slot);
-                }
             }
             s.gticket -= 1;
             self.gserving.store(s.gticket, Ordering::Release);
@@ -1522,7 +1449,7 @@ impl ShardedMonitor {
         let g = self.gstate.read();
         let level = VerdictLevel::compose(
             g.graph.serializable(),
-            g.first_non_dr.is_none(),
+            g.dr.first_non_dr().is_none(),
             fv == NO_POS,
         );
         self.floor.store(rank(level), Ordering::Release);
@@ -1530,9 +1457,14 @@ impl ShardedMonitor {
 
     /// Abort `txn`: truncate to its first operation and re-push the
     /// surviving interleaving (every retracted operation of another
-    /// transaction, in its original order). No new *cycle* can appear
-    /// — the survivors' conflict edges are a subset of those already
-    /// certified. Delayed-read marks, however, can be **reassigned**:
+    /// transaction, in its original order). The survivors' conflict
+    /// edges are a subset of the original schedule's, but not of those
+    /// already *certified*: a projection freezes at its first cycle, so
+    /// a later cycle among survivors that closed while the victim's
+    /// cycle froze the graph was never reported, and it closes again
+    /// during the re-push with no [`PushOutcome`] to report it (the
+    /// verdict and floor reflect it exactly). Delayed-read marks can
+    /// likewise be **reassigned**:
     /// a survivor read that took its value from the victim's write is
     /// re-recorded as reading from the earlier writer, which can mint
     /// a DR break that no [`PushOutcome`] ever reported (the verdict
@@ -1568,8 +1500,24 @@ impl ShardedMonitor {
             .collect();
         let undone = self.truncate_locked(&mut s, first, Some(txn));
         let repushed = survivors.len();
-        for op in survivors {
-            self.push_locked(&mut s, op);
+        // Re-push through the admission pipeline's own stages, one
+        // same-transaction run at a time, while the sequence lock is
+        // held and the pipeline is quiescent (every ticket is served
+        // at once, so the journals stay in position order). The §2.2
+        // totals are not touched: the truncation left the survivors'
+        // bits in place (their owning threads may be mid-push against
+        // those very cells). The durability journal gets one `appended`
+        // call per survivor.
+        for run in survivors.chunk_by(|a, b| a.txn == b.txn) {
+            if let Some(journal) = s.journal.as_deref_mut() {
+                for op in run {
+                    journal.appended(op);
+                }
+            }
+            self.with_scratch(run, |staged, turns| {
+                let claim = self.stage_seq(&mut s, run, staged, turns);
+                self.stage_turns(run, claim, staged, turns);
+            });
         }
         if repushed > 0 {
             // One exact recompute after the whole re-push (the
@@ -1578,37 +1526,6 @@ impl ShardedMonitor {
             self.recompute_floor();
         }
         Ok((undone, repushed))
-    }
-
-    /// Run the whole pipeline inline for one operation while the
-    /// sequence lock is held and the pipeline is quiescent (the
-    /// re-push half of [`ShardedMonitor::retract_txn`]): every ticket
-    /// is claimed and served immediately, so the journals stay in
-    /// position order. Does **not** touch the §2.2 totals: the
-    /// truncation it follows left the survivors' bits in place (their
-    /// owning threads may be mid-push against those very cells).
-    fn push_locked(&self, s: &mut SeqState, op: Operation) {
-        let (item, is_write) = (op.item, op.is_write());
-        let mut turns: Vec<(usize, u32)> = self
-            .scopes
-            .iter()
-            .enumerate()
-            .filter(|(_, scope)| scope.contains(item))
-            .map(|(k, _)| (k, 0))
-            .collect();
-        if let Some(journal) = s.journal.as_deref_mut() {
-            journal.appended(&op);
-        }
-        let (p, slot, rf_slot, gticket) = self.stage_seq(s, op, &mut turns);
-        {
-            let mut g = self.gstate.write();
-            self.stage_global(&mut g, slot, item, is_write, rf_slot, p);
-        }
-        self.gserving.store(gticket + 1, Ordering::Release);
-        for &(k, t) in &turns {
-            self.stage_shard(k, slot, item, is_write, p);
-            self.shards[k].serving.store(t + 1, Ordering::Release);
-        }
     }
 
     /// The current lock-free verdict floor — no locks taken.
@@ -1648,28 +1565,20 @@ impl ShardedMonitor {
             }
             AdmissionLevel::Pwsr => self.admits_conjuncts(slot, item, is_write),
             AdmissionLevel::PwsrDr => {
-                let clean = {
-                    let g = self.gstate.read();
-                    slot.and_then(|s| g.dirty_reads.get(s))
-                        .is_none_or(ItemSet::is_empty)
-                };
+                let clean = self.gstate.read().dr.admits(slot);
                 clean && self.admits_conjuncts(slot, item, is_write)
             }
         }
     }
 
     fn admits_conjuncts(&self, slot: Option<usize>, item: ItemId, is_write: bool) -> bool {
-        self.scopes
-            .iter()
-            .enumerate()
-            .filter(|(_, scope)| scope.contains(item))
-            .all(|(k, _)| {
-                self.shards[k]
-                    .state
-                    .read()
-                    .graph
-                    .admits(slot, item.index(), is_write)
-            })
+        self.conjuncts_of(item).iter().all(|&k| {
+            self.shards[k as usize]
+                .state
+                .read()
+                .graph
+                .admits(slot, item.index(), is_write)
+        })
     }
 
     /// The full verdict, assembled from every stage's state. **Exact
@@ -1688,21 +1597,7 @@ impl ShardedMonitor {
                 first_violation = Some(first_violation.map_or(c, |f| f.min(c)));
             }
         }
-        let serializable = g.graph.serializable();
-        let pwsr = first_violation.is_none();
-        let dr = g.first_non_dr.is_none();
-        let level = VerdictLevel::compose(serializable, dr, pwsr);
-        Verdict {
-            len,
-            level,
-            serializable,
-            dr,
-            first_violation,
-            first_non_serializable: g.graph.cyclic_at,
-            first_non_dr: g.first_non_dr,
-            lemma2_certified: pwsr,
-            lemma6_certified: pwsr && g.conjunct_non_dr.iter().all(Option::is_none),
-        }
+        Verdict::assemble(len, &g.graph, &g.dr, first_violation)
     }
 
     /// Does the Lemma 2 certificate hold for conjunct `k` (module
@@ -1713,7 +1608,7 @@ impl ShardedMonitor {
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
-        self.lemma2_holds(k) && self.gstate.read().conjunct_non_dr[k].is_none()
+        self.lemma2_holds(k) && self.gstate.read().dr.conjunct_clean(k)
     }
 
     /// A snapshot of the certified interleaving so far.

@@ -24,11 +24,11 @@ fn proj_txns(schedule: &Schedule, d: Option<&ItemSet>) -> (Vec<TxnId>, Vec<u32>)
     let all = schedule.txn_ids();
     let mut map = vec![ABSENT; all.len()];
     let mut txns = Vec::new();
-    for (p, o) in schedule.ops().iter().enumerate() {
+    for (p, o) in schedule.positions().zip(schedule.ops()) {
         if d.is_some_and(|d| !d.contains(o.item)) {
             continue;
         }
-        let s = schedule.slot_of_op(crate::ids::OpIndex(p));
+        let s = schedule.slot_of_op(p);
         if map[s] == ABSENT {
             map[s] = txns.len() as u32;
             txns.push(all[s]);
@@ -46,11 +46,11 @@ fn proj_txns(schedule: &Schedule, d: Option<&ItemSet>) -> (Vec<TxnId>, Vec<u32>)
 fn conflict_graph_full(schedule: &Schedule, d: Option<&ItemSet>) -> (DiGraph, Vec<TxnId>) {
     let (txns, map) = proj_txns(schedule, d);
     let mut per_item: Vec<Vec<(u32, bool)>> = vec![Vec::new(); schedule.item_ub()];
-    for (p, o) in schedule.ops().iter().enumerate() {
+    for (p, o) in schedule.positions().zip(schedule.ops()) {
         if d.is_some_and(|d| !d.contains(o.item)) {
             continue;
         }
-        let t = map[schedule.slot_of_op(crate::ids::OpIndex(p))];
+        let t = map[schedule.slot_of_op(p)];
         per_item[o.item.index()].push((t, o.is_write()));
     }
     let mut g = DiGraph::new(txns.len());
@@ -79,11 +79,11 @@ fn conflict_graph_reduced(schedule: &Schedule, d: Option<&ItemSet>) -> (DiGraph,
     let mut g = DiGraph::new(txns.len());
     let mut last_writer: Vec<u32> = vec![ABSENT; schedule.item_ub()];
     let mut readers: Vec<Vec<u32>> = vec![Vec::new(); schedule.item_ub()];
-    for (p, o) in schedule.ops().iter().enumerate() {
+    for (p, o) in schedule.positions().zip(schedule.ops()) {
         if d.is_some_and(|d| !d.contains(o.item)) {
             continue;
         }
-        let t = map[schedule.slot_of_op(crate::ids::OpIndex(p))];
+        let t = map[schedule.slot_of_op(p)];
         let i = o.item.index();
         let w = last_writer[i];
         if w != ABSENT && w != t {

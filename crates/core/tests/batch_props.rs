@@ -8,12 +8,20 @@
 //! ladder, per-conjunct Lemma 2/6 certificates, undo-log floors — and
 //! must stay identical when batches are split by the three suffix /
 //! prefix surgeries: `truncate_to`, `retract_txn`, and `compact`.
+//!
+//! Both twins run the same admission pipeline (a singleton `push` is a
+//! run of one), so the sharded twin test also checks the batched
+//! monitor against an independent oracle: the batch deciders on the
+//! uncompacted replay schedule.
 
 use proptest::prelude::*;
+use pwsr_core::dr::is_delayed_read;
 use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::sharded::ShardedMonitor;
 use pwsr_core::monitor::OnlineMonitor;
 use pwsr_core::op::Operation;
+use pwsr_core::schedule::Schedule;
+use pwsr_core::serializability::{is_conflict_serializable, is_conflict_serializable_proj};
 use pwsr_core::state::ItemSet;
 use pwsr_core::txn::Transaction;
 use pwsr_core::value::Value;
@@ -64,11 +72,32 @@ fn scopes_from_bits(d1_bits: u32, d2_bits: u32) -> Vec<ItemSet> {
     vec![d1, d2]
 }
 
+/// Thirteen overlapping scopes — one per item, three pairs, two
+/// halves, the whole universe and an empty one: every item lies in
+/// four of them, so a run over three or more items touches more
+/// conjunct shards than the sharded monitor's inline turn buffer
+/// holds.
+fn wide_scopes() -> Vec<ItemSet> {
+    let range = |lo: u32, hi: u32| (lo..hi).map(ItemId).collect::<ItemSet>();
+    let mut scopes: Vec<ItemSet> = (0..MAX_ITEMS).map(|i| range(i, i + 1)).collect();
+    scopes.extend((0..MAX_ITEMS).step_by(2).map(|i| range(i, i + 2)));
+    scopes.push(range(0, MAX_ITEMS / 2));
+    scopes.push(range(MAX_ITEMS / 2, MAX_ITEMS));
+    scopes.push(range(0, MAX_ITEMS));
+    scopes.push(ItemSet::new());
+    scopes
+}
+
 /// Split each transaction into contiguous program-order runs (batch
-/// sizes 1..=4 drawn from `sizes`), then interleave the runs across
-/// transactions by the `mix` byte stream — per-transaction run order
-/// is preserved, which is exactly what the executors guarantee.
-fn interleaved_runs(txns: &[Transaction], sizes: &[u8], mix: &[u8]) -> Vec<Vec<Operation>> {
+/// sizes 1..=`max_run` drawn from `sizes`), then interleave the runs
+/// across transactions by the `mix` byte stream — per-transaction run
+/// order is preserved, which is exactly what the executors guarantee.
+fn interleaved_runs(
+    txns: &[Transaction],
+    sizes: &[u8],
+    mix: &[u8],
+    max_run: usize,
+) -> Vec<Vec<Operation>> {
     let mut si = 0usize;
     let mut queues: Vec<Vec<Vec<Operation>>> = txns
         .iter()
@@ -76,7 +105,8 @@ fn interleaved_runs(txns: &[Transaction], sizes: &[u8], mix: &[u8]) -> Vec<Vec<O
             let mut runs = Vec::new();
             let mut rest = t.ops();
             while !rest.is_empty() {
-                let k = (1 + (sizes.get(si).copied().unwrap_or(0) as usize) % 4).min(rest.len());
+                let k =
+                    (1 + (sizes.get(si).copied().unwrap_or(0) as usize) % max_run).min(rest.len());
                 si += 1;
                 runs.push(rest[..k].to_vec());
                 rest = &rest[k..];
@@ -137,13 +167,61 @@ fn assert_twins_agree(
     Ok(())
 }
 
+/// The independent oracle: the batched monitor's verdict against the
+/// batch deciders on the uncompacted replay schedule `replay` (every
+/// admitted operation, with the surgeries' removals applied).
+fn assert_matches_deciders(
+    batched: &ShardedMonitor,
+    replay: &[Operation],
+    scopes: &[ItemSet],
+    at: &str,
+) -> std::result::Result<(), TestCaseError> {
+    let schedule = Schedule::new(replay.to_vec()).expect("replay schedule is valid");
+    let resident = batched.snapshot_schedule();
+    prop_assert_eq!(
+        resident.ops(),
+        &replay[resident.base()..],
+        "replay mirror diverged at {}",
+        at
+    );
+    let verdict = batched.verdict();
+    prop_assert_eq!(
+        verdict.serializable,
+        is_conflict_serializable(&schedule),
+        "serializable at {}",
+        at
+    );
+    prop_assert_eq!(verdict.dr, is_delayed_read(&schedule), "dr at {}", at);
+    for (k, d) in scopes.iter().enumerate() {
+        prop_assert_eq!(
+            batched.lemma2_holds(k),
+            is_conflict_serializable_proj(&schedule, d),
+            "projection {} at {}",
+            k,
+            at
+        );
+    }
+    prop_assert_eq!(
+        verdict.pwsr(),
+        scopes
+            .iter()
+            .all(|d| is_conflict_serializable_proj(&schedule, d)),
+        "pwsr at {}",
+        at
+    );
+    Ok(())
+}
+
 proptest! {
     /// **Sharded twins.** Batched vs singleton admission of the same
     /// run sequence, with random boundary surgeries between runs:
     /// truncations, per-transaction retractions, and checkpointed
     /// compactions — applied identically to both twins. Byte-identical
     /// per-op `PushOutcome`s, verdicts, certificates, and floors at
-    /// every boundary.
+    /// every boundary, and the batched verdict agrees with the batch
+    /// deciders there. `wide` switches to runs of up to 8 operations
+    /// over thirteen overlapping conjuncts — past both inline scratch
+    /// buffers of the admission pipeline, onto its heap fallback.
     #[test]
     fn sharded_batch_twin_matches_singleton(
         txns in arb_transactions(5),
@@ -152,11 +230,17 @@ proptest! {
         events in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        wide in any::<bool>(),
     ) {
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
-        let runs = interleaved_runs(&txns, &sizes, &mix);
+        let (scopes, max_run) = if wide {
+            (wide_scopes(), 8)
+        } else {
+            (scopes_from_bits(d1_bits, d2_bits), 4)
+        };
+        let runs = interleaved_runs(&txns, &sizes, &mix, max_run);
         let batched = ShardedMonitor::new_logged(scopes.clone());
         let singleton = ShardedMonitor::new_logged(scopes.clone());
+        let mut replay: Vec<Operation> = Vec::new();
         let mut pushed: std::collections::HashMap<TxnId, usize> =
             txns.iter().map(|t| (t.id(), 0)).collect();
         let mut summarized_prefix = false;
@@ -175,7 +259,9 @@ proptest! {
                 .collect();
             prop_assert_eq!(&a, &b, "PushOutcome run diverged at run {}", i);
             *pushed.get_mut(&run[0].txn).unwrap() += run.len();
+            replay.extend_from_slice(run);
             assert_twins_agree(&batched, &singleton, scopes.len(), "run boundary")?;
+            assert_matches_deciders(&batched, &replay, &scopes, "run boundary")?;
 
             // Boundary surgery, decided by the event stream.
             let e = events.get(i).copied().unwrap_or(255);
@@ -187,6 +273,7 @@ proptest! {
                     let ua = batched.truncate_to(cut);
                     let ub = singleton.truncate_to(cut);
                     prop_assert_eq!(ua, ub, "truncation undo counts");
+                    replay.truncate(cut);
                     // The cut may have split earlier batches: reset
                     // the per-txn progress from the surviving schedule.
                     let s = batched.snapshot_schedule();
@@ -195,17 +282,28 @@ proptest! {
                     }
                 }
                 1 => {
-                    // Retract one transaction from both twins.
+                    // Retract one transaction from both twins — unless
+                    // the last checkpoint made its operations permanent
+                    // (it was not in that checkpoint's live set, so
+                    // `retract_txn` would panic by contract).
                     let victim = txns[(e as usize / 8) % txns.len()].id();
-                    let ra = batched.retract_txn(victim);
-                    let rb = singleton.retract_txn(victim);
-                    match (ra, rb) {
-                        (Ok((ua, ra)), Ok((ub, rb))) => {
-                            prop_assert_eq!((ua, ra), (ub, rb), "retraction counts");
-                            *pushed.get_mut(&victim).unwrap() = 0;
+                    let permanent = !batched.is_summarized(victim)
+                        && replay
+                            .iter()
+                            .position(|o| o.txn == victim)
+                            .is_some_and(|first| first < batched.log_floor());
+                    if !permanent {
+                        let ra = batched.retract_txn(victim);
+                        let rb = singleton.retract_txn(victim);
+                        match (ra, rb) {
+                            (Ok((ua, ra)), Ok((ub, rb))) => {
+                                prop_assert_eq!((ua, ra), (ub, rb), "retraction counts");
+                                *pushed.get_mut(&victim).unwrap() = 0;
+                                replay.retain(|o| o.txn != victim);
+                            }
+                            (Err(_), Err(_)) => {}
+                            (a, b) => prop_assert!(false, "retract asymmetry: {:?} vs {:?}", a, b),
                         }
-                        (Err(_), Err(_)) => {}
-                        (a, b) => prop_assert!(false, "retract asymmetry: {:?} vs {:?}", a, b),
                     }
                 }
                 2 => {
@@ -234,6 +332,7 @@ proptest! {
                 _ => {}
             }
             assert_twins_agree(&batched, &singleton, scopes.len(), "after surgery")?;
+            assert_matches_deciders(&batched, &replay, &scopes, "after surgery")?;
         }
         // Final audit: identical recorded schedules, and — whenever no
         // prefix has been summarized away (a fresh replay would then
@@ -267,7 +366,7 @@ proptest! {
         d2_bits in 0u32..64,
     ) {
         let scopes = scopes_from_bits(d1_bits, d2_bits);
-        let runs = interleaved_runs(&txns, &sizes, &mix);
+        let runs = interleaved_runs(&txns, &sizes, &mix, 4);
         let mut batched = OnlineMonitor::new(scopes.clone());
         let mut singleton = OnlineMonitor::new(scopes.clone());
         let mut pushed: std::collections::HashMap<TxnId, usize> =

@@ -9,14 +9,15 @@
 //! incremental flags are the implementation under test).
 
 use proptest::prelude::*;
-use pwsr_core::dr::is_delayed_read;
-use pwsr_core::ids::{ItemId, TxnId};
+use pwsr_core::dr::{dr_violation, is_aca, is_delayed_read, is_strict};
+use pwsr_core::ids::{ItemId, OpIndex, TxnId};
 use pwsr_core::index::ScheduleIndex;
 use pwsr_core::monitor::{AdmissionLevel, OnlineIndex, OnlineMonitor};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::serializability::{
     is_conflict_serializable, is_conflict_serializable_proj, precedence_graph_proj,
+    serialization_order, serialization_order_proj,
 };
 use pwsr_core::state::ItemSet;
 use pwsr_core::txn::Transaction;
@@ -227,7 +228,10 @@ proptest! {
     /// stride of completed transactions. At every push the verdict
     /// (including Lemma 2/6 certificates) and every admission probe
     /// must stay byte-identical, and summarized transactions must
-    /// reject further pushes.
+    /// reject further pushes. The batch deciders accept the compacted
+    /// schedule too (absolute positions above its base): each answers
+    /// as on a fresh `Schedule` of the resident operations, witness
+    /// positions shifted by the base.
     #[test]
     fn compaction_twin_parity_at_every_push(
         txns in arb_transactions(4),
@@ -273,6 +277,24 @@ proptest! {
                     }
                     compacting.compact();
                 }
+            }
+            let s = compacting.schedule();
+            let fresh = Schedule::new(s.ops().to_vec()).expect("resident ops are transaction-closed");
+            let shift = |w: Option<(OpIndex, OpIndex)>| {
+                w.map(|(r, w)| (OpIndex(r.0 + s.base()), OpIndex(w.0 + s.base())))
+            };
+            prop_assert_eq!(dr_violation(s), shift(dr_violation(&fresh)), "base {}", s.base());
+            prop_assert_eq!(is_delayed_read(s), is_delayed_read(&fresh));
+            prop_assert_eq!(is_aca(s), is_aca(&fresh));
+            prop_assert_eq!(is_strict(s), is_strict(&fresh));
+            prop_assert_eq!(is_conflict_serializable(s), is_conflict_serializable(&fresh));
+            prop_assert_eq!(serialization_order(s), serialization_order(&fresh));
+            for d in &scopes {
+                prop_assert_eq!(
+                    is_conflict_serializable_proj(s, d),
+                    is_conflict_serializable_proj(&fresh, d)
+                );
+                prop_assert_eq!(serialization_order_proj(s, d), serialization_order_proj(&fresh, d));
             }
             // Probes agree after every push/compaction — except that a
             // summarized transaction is flatly refused (its push would

@@ -589,45 +589,36 @@ pub fn run_threaded_occ_certified(
         wal: None,
         compact_every: 0,
     };
-    run_threaded_occ_spec(programs, catalog, initial, &spec, threads, max_restarts)
-}
-
-/// [`run_threaded_occ_certified`] driven by a full [`MonitorSpec`] —
-/// the entry point that honours a [`StaticCertificate`]. Transactions
-/// the certificate covers run **without the monitor**: their accesses
-/// still respect the dirty-item discipline (store correctness and
-/// read-coherence among certified transactions need it), but each
-/// operation lands in a cheap side trace instead of the logged
-/// pipeline, and no admission floor is ever checked for them — a
-/// statically-safe transaction cannot be certification-aborted. The
-/// returned verdict covers only the monitored operations; the overall
-/// guarantee is the certificate's static level over the certified
-/// subset conjoined with the verdict over the rest (sound because
-/// certified transactions form conflict-closed components).
-pub fn run_threaded_occ_spec(
-    programs: &[Program],
-    catalog: &Catalog,
-    initial: &DbState,
-    spec: &MonitorSpec,
-    threads: usize,
-    max_restarts: u32,
-) -> Result<OccThreadedOutcome> {
     run_threaded_occ_tuned(
         programs,
         catalog,
         initial,
-        spec,
+        &spec,
         threads,
         max_restarts,
         &OccTuning::default(),
     )
 }
 
-/// [`run_threaded_occ_spec`] with explicit [`OccTuning`] knobs —
-/// dirty-wait spin/park budgets and the abort-backoff cap. When
-/// `spec.wal` is set, the sharded monitor journals every claimed
-/// operation (and every abort's retraction) into it, and the
-/// returned metrics carry the WAL counters.
+/// [`run_threaded_occ_certified`] driven by a full [`MonitorSpec`] and
+/// explicit [`OccTuning`] knobs — dirty-wait spin/park budgets and the
+/// abort-backoff cap.
+///
+/// This is the entry point that honours a [`StaticCertificate`].
+/// Transactions the certificate covers run **without the monitor**:
+/// their accesses still respect the dirty-item discipline (store
+/// correctness and read-coherence among certified transactions need
+/// it), but each operation lands in a cheap side trace instead of the
+/// logged pipeline, and no admission floor is ever checked for them —
+/// a statically-safe transaction cannot be certification-aborted. The
+/// returned verdict covers only the monitored operations; the overall
+/// guarantee is the certificate's static level over the certified
+/// subset conjoined with the verdict over the rest (sound because
+/// certified transactions form conflict-closed components).
+///
+/// When `spec.wal` is set, the sharded monitor journals every claimed
+/// operation (and every abort's retraction) into it, and the returned
+/// metrics carry the WAL counters.
 pub fn run_threaded_occ_tuned(
     programs: &[Program],
     catalog: &Catalog,
@@ -1882,8 +1873,16 @@ mod tests {
         };
         for threads in [1, 4] {
             for _ in 0..5 {
-                let out = run_threaded_occ_spec(&programs, &cat, &initial, &spec, threads, 10_000)
-                    .unwrap();
+                let out = run_threaded_occ_tuned(
+                    &programs,
+                    &cat,
+                    &initial,
+                    &spec,
+                    threads,
+                    10_000,
+                    &OccTuning::default(),
+                )
+                .unwrap();
                 assert_eq!(out.verdict.len, 6, "only T3/T4 ops are monitored");
                 assert_eq!(out.schedule.len(), 10);
                 assert!(out.metrics.monitor_skipped_ops >= 4);
