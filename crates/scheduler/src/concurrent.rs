@@ -2,10 +2,12 @@
 //!
 //! The discrete-event executor in [`crate::exec`] is the measurement
 //! instrument; this module shows the same policies working under real
-//! OS-thread parallelism with `parking_lot` locks. Each transaction
-//! runs on its own thread; per-conjunct space mutexes are acquired in
-//! ascending space order for a transaction's whole lifetime
-//! (conservative per-space 2PL — deadlock-free by lock ordering).
+//! OS-thread parallelism with `parking_lot` locks. Transactions run on
+//! a bounded worker pool whose workers claim them from one shared
+//! cursor; per-conjunct space mutexes are acquired in ascending space
+//! order for a transaction's whole lifetime (conservative per-space
+//! 2PL — deadlock-free by lock ordering: a worker waits only behind a
+//! worker that already holds its whole lock set).
 //!
 //! Three recording paths:
 //!
@@ -59,7 +61,6 @@ use pwsr_tplang::session::{Pending, ProgramSession};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Shared execution state behind one mutex (uncertified path: the
@@ -114,100 +115,137 @@ impl StripedDb {
     }
 }
 
-/// The per-space lock set a conservative transaction must hold.
-fn space_set(program: &Program, catalog: &Catalog, policy: &PolicySpec) -> BTreeSet<u32> {
-    let (r, w) = crate::dag_admission::may_access_sets(program, catalog);
-    r.union(&w).iter().map(|i| policy.space_of(i).0).collect()
+/// Conservative per-space 2PL's lock layout: every program's space
+/// set, computed once per run and kept in ascending order, and one
+/// mutex per space.
+struct SpaceLocks {
+    sets: Vec<Vec<u32>>,
+    locks: Vec<Mutex<()>>,
 }
 
-fn space_lock_table(
+impl SpaceLocks {
+    fn new(programs: &[Program], catalog: &Catalog, policy: &PolicySpec) -> SpaceLocks {
+        let sets: Vec<Vec<u32>> = programs
+            .iter()
+            .map(|p| {
+                let (r, w) = crate::dag_admission::may_access_sets(p, catalog);
+                let spaces: BTreeSet<u32> =
+                    r.union(&w).iter().map(|i| policy.space_of(i).0).collect();
+                spaces.into_iter().collect()
+            })
+            .collect();
+        let n_spaces = sets.iter().flatten().max().map_or(1, |&m| m as usize + 1);
+        SpaceLocks {
+            sets,
+            locks: (0..n_spaces).map(|_| Mutex::new(())).collect(),
+        }
+    }
+
+    /// The pool size: one worker per core, but no more workers than
+    /// spaces — one beyond that could only wait on a space lock.
+    fn workers(&self) -> usize {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(self.locks.len())
+    }
+
+    /// Lock every space program `k` may touch, in ascending order (one
+    /// global order ⇒ no deadlock). The guards release when dropped,
+    /// on the error path too.
+    fn lock(&self, k: usize) -> Vec<impl Sized + '_> {
+        self.sets[k]
+            .iter()
+            .map(|&s| self.locks[s as usize].lock())
+            .collect()
+    }
+}
+
+/// Run `body(k, &programs[k])` once for every program on a pool of at
+/// most `workers` scoped threads that claim indices from one shared
+/// cursor. A worker whose body fails stops claiming (whatever the body
+/// held drops with its frame) while the others drain the queue; the
+/// first error in join order is returned once every worker is done.
+fn claim_loop(
     programs: &[Program],
-    catalog: &Catalog,
-    policy: &PolicySpec,
-) -> Vec<Mutex<()>> {
-    let n_spaces = programs
-        .iter()
-        .flat_map(|p| space_set(p, catalog, policy))
-        .max()
-        .map(|m| m as usize + 1)
-        .unwrap_or(1);
-    (0..n_spaces).map(|_| Mutex::new(())).collect()
+    workers: usize,
+    body: impl Fn(usize, &Program) -> Result<()> + Sync,
+) -> Result<()> {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1).min(programs.len()))
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(program) = programs.get(k) else {
+                        return Ok(());
+                    };
+                    body(k, program)?;
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .try_for_each(|h| h.join().map_err(|_| SchedError::Stalled)?)
+    })
 }
 
-/// Run each program on its own OS thread under conservative per-space
-/// two-phase locking: every thread first computes its syntactic space
-/// set, locks those spaces in ascending order, executes, then releases.
-/// Returns the recorded (committed) schedule and the final state.
+/// Run the programs on a bounded worker pool under conservative
+/// per-space two-phase locking: a worker claims a transaction, locks
+/// its syntactic space set in ascending order, executes it, then
+/// releases. Every operation lands in one shared trace as it happens,
+/// and workers yield between operations, so the trace is an
+/// operation-level interleaving of the transactions the locks let run
+/// together. Returns the recorded (committed) schedule and the final
+/// state.
 pub fn run_threaded(
     programs: &[Program],
     catalog: &Catalog,
     initial: &DbState,
     policy: &PolicySpec,
 ) -> Result<(Schedule, DbState)> {
-    let space_locks = space_lock_table(programs, catalog, policy);
-    let shared = Arc::new(Mutex::new(Shared {
+    let spaces = SpaceLocks::new(programs, catalog, policy);
+    let shared = Mutex::new(Shared {
         db: initial.clone(),
         trace: Vec::new(),
-    }));
+    });
 
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for (k, program) in programs.iter().enumerate() {
-            let txn = TxnId(k as u32 + 1);
-            let shared = Arc::clone(&shared);
-            let space_locks = &space_locks;
-            handles.push(scope.spawn(move || -> Result<()> {
-                // Conservative: lock every space the program may touch,
-                // in ascending order (global order ⇒ no deadlock).
-                let spaces = space_set(program, catalog, policy);
-                let guards: Vec<_> = spaces
-                    .iter()
-                    .map(|&s| space_locks[s as usize].lock())
-                    .collect();
-                let mut session = ProgramSession::new(program, catalog, txn);
-                loop {
-                    match session.pending()? {
-                        Pending::NeedRead(item) => {
-                            let mut sh = shared.lock();
-                            let v = sh.db.require(item)?.clone();
-                            let op = session.feed_read(v)?;
-                            sh.trace.push(op);
-                        }
-                        Pending::Write(op) => {
-                            let mut sh = shared.lock();
-                            sh.db.set(op.item, op.value.clone());
-                            sh.trace.push(op);
-                            session.advance_write()?;
-                        }
-                        Pending::Done => break,
-                    }
-                    // Encourage interleaving across threads.
-                    std::thread::yield_now();
+    claim_loop(programs, spaces.workers(), |k, program| {
+        let txn = TxnId(k as u32 + 1);
+        let _held = spaces.lock(k);
+        let mut session = ProgramSession::new(program, catalog, txn);
+        loop {
+            match session.pending()? {
+                Pending::NeedRead(item) => {
+                    let mut sh = shared.lock();
+                    let v = sh.db.require(item)?.clone();
+                    let op = session.feed_read(v)?;
+                    sh.trace.push(op);
                 }
-                drop(guards);
-                Ok(())
-            }));
+                Pending::Write(op) => {
+                    let mut sh = shared.lock();
+                    sh.db.set(op.item, op.value.clone());
+                    sh.trace.push(op);
+                    session.advance_write()?;
+                }
+                Pending::Done => return Ok(()),
+            }
+            // Encourage interleaving across workers.
+            std::thread::yield_now();
         }
-        for h in handles {
-            h.join().map_err(|_| SchedError::Stalled)??;
-        }
-        Ok(())
     })?;
 
-    let shared = Arc::try_unwrap(shared)
-        .map_err(|_| SchedError::Stalled)?
-        .into_inner();
+    let shared = shared.into_inner();
     let schedule = Schedule::new(shared.trace)?;
     Ok((schedule, shared.db))
 }
 
 /// [`run_threaded`] with a [`ShardedMonitor`] certifying the verdict
-/// live, operation by operation, under real OS-thread parallelism —
-/// and **without the big shared mutex** the pre-sharding version
-/// funnelled every operation through. The database is striped by
-/// item; the interleaving is whatever order the threads' pushes claim
-/// inside the monitor's sequence stage, and the returned verdict is
-/// the monitor's exact (quiescent) verdict over exactly that
+/// live, one transaction's batch at a time, on the same bounded worker
+/// pool — and **without the big shared mutex** the pre-sharding
+/// version funnelled every operation through. The database is striped
+/// by item; the interleaving is whatever order the workers' batches
+/// claim inside the monitor's sequence stage, and the returned verdict
+/// is the monitor's exact (quiescent) verdict over exactly that
 /// interleaving.
 ///
 /// When `policy.monitor` carries a [`StaticCertificate`] (see
@@ -233,7 +271,7 @@ pub fn run_threaded_certified(
     policy: &PolicySpec,
     scopes: Vec<ItemSet>,
 ) -> Result<(Schedule, DbState, Verdict)> {
-    let space_locks = space_lock_table(programs, catalog, policy);
+    let spaces = SpaceLocks::new(programs, catalog, policy);
     let mut monitor = ShardedMonitor::new(scopes);
     // Durable admission: journal every claimed operation into the
     // policy's WAL (the journal hook runs under the monitor's
@@ -253,76 +291,60 @@ pub fn run_threaded_certified(
     let compact_every = policy.monitor.as_ref().map_or(0, |s| s.compact_every);
     let commits = AtomicU64::new(0);
 
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for (k, program) in programs.iter().enumerate() {
-            let txn = TxnId(k as u32 + 1);
-            let (monitor, db, space_locks, side) = (&monitor, &db, &space_locks, &side);
-            let commits = &commits;
-            let fast = certificate.is_some_and(|c| c.covers(txn));
-            handles.push(scope.spawn(move || -> Result<()> {
-                let spaces = space_set(program, catalog, policy);
-                let guards: Vec<_> = spaces
-                    .iter()
-                    .map(|&s| space_locks[s as usize].lock())
-                    .collect();
-                let mut session = ProgramSession::new(program, catalog, txn);
-                // Whole-transaction batching: per-space 2PL holds
-                // every conflicting transaction out for this one's
-                // entire lifetime, so deferring the monitor pushes to
-                // one program-ordered batch before lock release claims
-                // the same per-item operation orders as pushing
-                // op-by-op — while paying the pipeline's serial costs
-                // (seq mutex, global ticket, shard tickets) once.
-                let mut batch: Vec<Operation> = Vec::new();
-                let mut record = |op: Operation| {
-                    if fast {
-                        side.lock().push(op);
-                    } else {
-                        batch.push(op);
-                    }
-                };
-                loop {
-                    match session.pending()? {
-                        Pending::NeedRead(item) => {
-                            // Per-space 2PL holds every conflicting
-                            // transaction out for our whole lifetime,
-                            // so value and claimed position cannot be
-                            // split by a conflicting access.
-                            let v = db.read(item)?;
-                            let op = session.feed_read(v)?;
-                            record(op);
-                        }
-                        Pending::Write(op) => {
-                            db.write(op.item, op.value.clone());
-                            record(op);
-                            session.advance_write()?;
-                        }
-                        Pending::Done => break,
-                    }
-                    std::thread::yield_now();
+    claim_loop(programs, spaces.workers(), |k, program| {
+        let txn = TxnId(k as u32 + 1);
+        let fast = certificate.is_some_and(|c| c.covers(txn));
+        let held = spaces.lock(k);
+        let mut session = ProgramSession::new(program, catalog, txn);
+        // Whole-transaction batching: per-space 2PL holds every
+        // conflicting transaction out for this one's entire lifetime,
+        // so deferring the monitor pushes to one program-ordered batch
+        // before lock release claims the same per-item operation
+        // orders as pushing op-by-op — while paying the pipeline's
+        // serial costs (seq mutex, global ticket, shard tickets) once.
+        // The batch is also why the loop never yields: the recorded
+        // schedule holds each transaction as one contiguous run.
+        let mut batch: Vec<Operation> = Vec::new();
+        let mut record = |op: Operation| {
+            if fast {
+                side.lock().push(op);
+            } else {
+                batch.push(op);
+            }
+        };
+        loop {
+            match session.pending()? {
+                Pending::NeedRead(item) => {
+                    // Per-space 2PL holds every conflicting transaction
+                    // out for our whole lifetime, so value and claimed
+                    // position cannot be split by a conflicting access.
+                    let v = db.read(item)?;
+                    let op = session.feed_read(v)?;
+                    record(op);
                 }
-                if !batch.is_empty() {
-                    monitor.push_batch(&batch)?;
+                Pending::Write(op) => {
+                    db.write(op.item, op.value.clone());
+                    record(op);
+                    session.advance_write()?;
                 }
-                drop(guards);
-                // Commit is final here (no aborts): declare the
-                // transaction finished so the compaction frontier can
-                // advance over it, and compact on cadence.
-                if !fast {
-                    monitor.finish_txn(txn);
-                    if compact_every > 0 {
-                        let n = commits.fetch_add(1, Ordering::Relaxed) + 1;
-                        if n.is_multiple_of(compact_every) {
-                            monitor.compact();
-                        }
-                    }
-                }
-                Ok(())
-            }));
+                Pending::Done => break,
+            }
         }
-        for h in handles {
-            h.join().map_err(|_| SchedError::Stalled)??;
+        if !batch.is_empty() {
+            monitor.push_batch(&batch)?;
+        }
+        drop(held);
+        // Commit is final here (no aborts): declare the transaction
+        // finished so the compaction frontier can advance over it,
+        // and compact on cadence.
+        if !fast {
+            monitor.finish_txn(txn);
+            if compact_every > 0 {
+                let n = commits.fetch_add(1, Ordering::Relaxed) + 1;
+                if n.is_multiple_of(compact_every) {
+                    monitor.compact();
+                }
+            }
         }
         Ok(())
     })?;
@@ -637,8 +659,6 @@ pub fn run_threaded_occ_tuned(
     let certificate = spec.certificate.as_ref().filter(|c| c.satisfies(level));
     let db = OccStripedDb::new(initial, 16);
     let counters = OccMtCounters::default();
-    let next = AtomicUsize::new(0);
-    let threads = threads.max(1);
     let side: Mutex<Vec<Operation>> = Mutex::new(Vec::new());
     // Committed-prefix compaction (MonitorSpec::compact_every). The
     // OCC monitor is *logged* (aborts retract), so the frontier is
@@ -655,91 +675,69 @@ pub fn run_threaded_occ_tuned(
     let deadline =
         (tuning.txn_deadline_us > 0).then(|| Duration::from_micros(tuning.txn_deadline_us));
 
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for _ in 0..threads.min(programs.len().max(1)) {
-            let (monitor, db, counters, next, side) = (&monitor, &db, &counters, &next, &side);
-            let (commits, live, registry) = (&commits, &live, &registry);
-            handles.push(scope.spawn(move || -> Result<()> {
-                let ctx = OccCtx {
-                    monitor,
-                    db,
-                    counters,
-                    registry,
-                    side,
-                    certificate,
-                    level,
-                    tuning,
-                    deadline,
-                };
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(program) = programs.get(k) else {
-                        return Ok(());
-                    };
-                    let txn = TxnId(k as u32 + 1);
-                    let fast = ctx.fast_of(txn);
-                    let mut restarts = 0u32;
-                    loop {
-                        match occ_attempt(&ctx, program, catalog, txn)? {
-                            AttemptEnd::Committed => {
-                                // An OCC commit is final — committed
-                                // transactions are never resurrected —
-                                // so it is safe to let the compaction
-                                // frontier advance over this one.
-                                if fast.is_none() {
-                                    monitor.finish_txn(txn);
-                                }
-                                live.lock().remove(&txn);
-                                if compact_every > 0 {
-                                    let n = commits.fetch_add(1, Ordering::Relaxed) + 1;
-                                    if n.is_multiple_of(compact_every) {
-                                        let snapshot: Vec<TxnId> =
-                                            live.lock().iter().copied().collect();
-                                        monitor.checkpoint(snapshot);
-                                        monitor.compact();
-                                    }
-                                }
-                                break;
-                            }
-                            AttemptEnd::Aborted => {
-                                restarts += 1;
-                                if restarts > max_restarts {
-                                    return Err(SchedError::RestartLimit { txn, restarts });
-                                }
-                                counters.retries.fetch_add(1, Ordering::Relaxed);
-                                // Asymmetric backoff: later transactions
-                                // back off longer, so colliding retries
-                                // separate even on a single core — capped
-                                // so a long restart chain never degrades
-                                // into unbounded yield storms.
-                                for _ in 0..(restarts + txn.0 % 7).min(tuning.backoff_cap) {
-                                    std::thread::yield_now();
-                                }
-                            }
-                            AttemptEnd::Died => {
-                                // Contained worker panic: the
-                                // transaction's suffix is retracted and
-                                // its writes rolled back — it is gone
-                                // for good, never retried. Removing it
-                                // from `live` lets the compaction
-                                // frontier advance past its (absent)
-                                // operations; deliberately no
-                                // abort/retry counting (nothing will
-                                // re-run), preserving `aborts ==
-                                // retries` for the survivors.
-                                live.lock().remove(&txn);
-                                break;
-                            }
+    let ctx = OccCtx {
+        monitor: &monitor,
+        db: &db,
+        counters: &counters,
+        registry: &registry,
+        side: &side,
+        certificate,
+        level,
+        tuning,
+        deadline,
+    };
+
+    claim_loop(programs, threads, |k, program| {
+        let txn = TxnId(k as u32 + 1);
+        let fast = ctx.fast_of(txn);
+        let mut restarts = 0u32;
+        loop {
+            match occ_attempt(&ctx, program, catalog, txn)? {
+                AttemptEnd::Committed => {
+                    // An OCC commit is final — committed transactions
+                    // are never resurrected — so it is safe to let the
+                    // compaction frontier advance over this one.
+                    if fast.is_none() {
+                        monitor.finish_txn(txn);
+                    }
+                    live.lock().remove(&txn);
+                    if compact_every > 0 {
+                        let n = commits.fetch_add(1, Ordering::Relaxed) + 1;
+                        if n.is_multiple_of(compact_every) {
+                            let snapshot: Vec<TxnId> = live.lock().iter().copied().collect();
+                            monitor.checkpoint(snapshot);
+                            monitor.compact();
                         }
                     }
+                    return Ok(());
                 }
-            }));
+                AttemptEnd::Aborted => {
+                    restarts += 1;
+                    if restarts > max_restarts {
+                        return Err(SchedError::RestartLimit { txn, restarts });
+                    }
+                    counters.retries.fetch_add(1, Ordering::Relaxed);
+                    // Asymmetric backoff: later transactions back off
+                    // longer, so colliding retries separate even on a
+                    // single core — capped so a long restart chain
+                    // never degrades into unbounded yield storms.
+                    for _ in 0..(restarts + txn.0 % 7).min(tuning.backoff_cap) {
+                        std::thread::yield_now();
+                    }
+                }
+                AttemptEnd::Died => {
+                    // Contained worker panic: the transaction's suffix
+                    // is retracted and its writes rolled back — it is
+                    // gone for good, never retried. Removing it from
+                    // `live` lets the compaction frontier advance past
+                    // its (absent) operations; deliberately no
+                    // abort/retry counting (nothing will re-run),
+                    // preserving `aborts == retries` for the survivors.
+                    live.lock().remove(&txn);
+                    return Ok(());
+                }
+            }
         }
-        for h in handles {
-            h.join().map_err(|_| SchedError::Stalled)??;
-        }
-        Ok(())
     })?;
 
     let (monitored, verdict) = monitor.into_parts();
@@ -864,7 +862,7 @@ impl TxnRegistry {
     }
 }
 
-/// Everything one OCC worker needs, bundled — the attempt, abort, and
+/// Everything the OCC workers share, bundled — the attempt, abort, and
 /// reap helpers otherwise drown in arguments.
 struct OccCtx<'a> {
     monitor: &'a ShardedMonitor,
@@ -1643,6 +1641,43 @@ mod tests {
             let txn = TxnId(k as u32 + 1);
             let t = schedule.transaction(txn);
             assert!(replay_matches(p, &cat, txn, t.ops()));
+        }
+    }
+
+    /// One program that fails mid-run (it reads an item the initial
+    /// state lacks) among many: both 2PL executors return its error
+    /// instead of hanging. The failing transaction holds both conjunct
+    /// spaces when it fails, so a lock it kept would wedge every other
+    /// worker; they must instead drain the queue.
+    #[test]
+    fn failing_program_among_many_errors_without_hanging() {
+        use pwsr_core::error::CoreError;
+        let (mut cat, ic, initial) = setup();
+        let ghost = cat.add_item("ghost", Domain::int_range(-1000, 1000));
+        let mut programs: Vec<Program> = (0..200)
+            .map(|k| {
+                let body = ["a0 := a0 + 1;", "a1 := a1 + 1;"][k % 2];
+                parse_program(&format!("T{k}"), body).unwrap()
+            })
+            .collect();
+        programs[57] = parse_program("BAD", "a0 := a0 + 1; a1 := ghost;").unwrap();
+        let policy = PolicySpec::predicate_wise_2pl(&ic);
+        let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let plain = run_threaded(&programs, &cat, &initial, &policy).map(|_| ());
+            let certified =
+                run_threaded_certified(&programs, &cat, &initial, &policy, scopes).map(|_| ());
+            let _ = tx.send((plain, certified));
+        });
+        let (plain, certified) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a failed transaction wedged the worker pool");
+        for res in [plain, certified] {
+            assert!(
+                matches!(res, Err(SchedError::Core(CoreError::MissingItem(i))) if i == ghost),
+                "{res:?}"
+            );
         }
     }
 
