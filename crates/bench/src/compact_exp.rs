@@ -13,7 +13,11 @@
 //!   uncompacted twin's linearly-growing footprint;
 //! * **per-op cost**: the compacting path's amortized ns/op (including
 //!   the compaction sweeps themselves) must stay within 1.5× of the
-//!   non-compacting path;
+//!   non-compacting path — each path's median over five rounds. In a
+//!   round both twins stream the same operations epoch by epoch, and
+//!   which twin takes an epoch first alternates from epoch to epoch
+//!   and from round to round, so a burst of load on the host slows
+//!   both alike;
 //! * **verdict parity**: both twins must end at the identical verdict
 //!   (the twin-harness property, sampled here at scale).
 //!
@@ -31,7 +35,7 @@ use pwsr_core::op::Operation;
 use pwsr_core::state::ItemSet;
 use pwsr_core::value::Value;
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Items in the workload's sliding window.
 const ITEMS: usize = 64;
@@ -60,9 +64,11 @@ pub struct CompactExpStats {
     pub resident_bytes_post: u64,
     /// The uncompacted twin's resident estimate at end of stream.
     pub baseline_resident_bytes: u64,
-    /// Amortized cost per op on the compacting path (sweeps included).
+    /// Amortized cost per op on the compacting path (sweeps included),
+    /// the median over the alternating rounds.
     pub compact_ns_per_op: f64,
-    /// Amortized cost per op on the non-compacting path.
+    /// Amortized cost per op on the non-compacting path, the median
+    /// over the same rounds.
     pub baseline_ns_per_op: f64,
 }
 
@@ -105,39 +111,138 @@ pub fn scopes() -> Vec<ItemSet> {
 
 /// Deterministic stream generator: transaction pairs `(A, B)` on
 /// disjoint items (A even, B odd), strictly alternating their
-/// operations, with item reuse across epochs. `sink` receives every
-/// operation in stream order plus a flag marking each transaction's
-/// last operation.
-fn stream(pairs: usize, mut sink: impl FnMut(Operation, bool)) {
-    let mut cur = [0i64; ITEMS];
-    let mut counter = 0i64;
-    for j in 0..pairs {
-        let a = TxnId(2 * j as u32 + 1);
-        let b = TxnId(2 * j as u32 + 2);
-        let xa = 2 * (j % (ITEMS / 2));
-        let xb = xa + 1;
-        let xa2 = (xa + 2) % ITEMS;
-        let xb2 = (xa2 + 1) % ITEMS;
-        let mut emit = |txn: TxnId, item: usize, write: bool, last: bool| {
-            let op = if write {
-                counter += 1;
-                cur[item] = counter;
-                Operation::write(txn, ItemId(item as u32), Value::Int(counter))
-            } else {
-                Operation::read(txn, ItemId(item as u32), Value::Int(cur[item]))
-            };
-            sink(op, last);
-        };
-        // r x, w x on each side, then r x', w x' — alternating A/B.
-        emit(a, xa, false, false);
-        emit(b, xb, false, false);
-        emit(a, xa, true, false);
-        emit(b, xb, true, false);
-        emit(a, xa2, false, false);
-        emit(b, xb2, false, false);
-        emit(a, xa2, true, true);
-        emit(b, xb2, true, true);
+/// operations, with item reuse across epochs.
+struct Stream {
+    next_pair: usize,
+    cur: [i64; ITEMS],
+    counter: i64,
+}
+
+impl Stream {
+    fn new() -> Stream {
+        Stream {
+            next_pair: 0,
+            cur: [0; ITEMS],
+            counter: 0,
+        }
     }
+
+    /// Emit the next `pairs` pairs' operations to `sink`, in stream
+    /// order, each with a flag marking its transaction's last
+    /// operation.
+    fn next_pairs(&mut self, pairs: usize, mut sink: impl FnMut(Operation, bool)) {
+        for j in self.next_pair..self.next_pair + pairs {
+            let a = TxnId(2 * j as u32 + 1);
+            let b = TxnId(2 * j as u32 + 2);
+            let xa = 2 * (j % (ITEMS / 2));
+            let xb = xa + 1;
+            let xa2 = (xa + 2) % ITEMS;
+            let xb2 = (xa2 + 1) % ITEMS;
+            let mut emit = |txn: TxnId, item: usize, write: bool, last: bool| {
+                let op = if write {
+                    self.counter += 1;
+                    self.cur[item] = self.counter;
+                    Operation::write(txn, ItemId(item as u32), Value::Int(self.counter))
+                } else {
+                    Operation::read(txn, ItemId(item as u32), Value::Int(self.cur[item]))
+                };
+                sink(op, last);
+            };
+            // r x, w x on each side, then r x', w x' — alternating A/B.
+            emit(a, xa, false, false);
+            emit(b, xb, false, false);
+            emit(a, xa, true, false);
+            emit(b, xb, true, false);
+            emit(a, xa2, false, false);
+            emit(b, xb2, false, false);
+            emit(a, xa2, true, true);
+            emit(b, xb2, true, true);
+        }
+        self.next_pair += pairs;
+    }
+}
+
+/// Timed rounds. The reported ns/op are the per-twin medians.
+const ROUNDS: usize = 5;
+
+/// One round's results: each twin's ns/op and monitor, and the
+/// compacting twin's resident estimate — its peak just before a sweep
+/// and its value after the last one.
+struct Round {
+    compact_ns_per_op: f64,
+    baseline_ns_per_op: f64,
+    compacting: OnlineMonitor,
+    baseline: OnlineMonitor,
+    peak_pre: usize,
+    post: usize,
+}
+
+/// One round over `pairs` pairs. Each twin generates and takes the
+/// stream one epoch (`PAIRS_PER_EPOCH` pairs) at a time; which twin
+/// takes an epoch first alternates, starting with the compacting twin
+/// when `compacting_first`. The compacting twin declares each
+/// transaction finished at its last operation and compacts after every
+/// full epoch and once at the end; the resident sampling and the sweeps
+/// run inside its timed region (their cost is part of the path's
+/// amortized per-op price).
+fn round(pairs: usize, compacting_first: bool) -> Round {
+    let (mut compact_stream, mut baseline_stream) = (Stream::new(), Stream::new());
+    let mut compacting = OnlineMonitor::new(scopes());
+    let mut baseline = OnlineMonitor::new(scopes());
+    let (mut compact_time, mut baseline_time) = (Duration::ZERO, Duration::ZERO);
+    let mut peak_pre = 0usize;
+    let mut done = 0;
+    while done < pairs {
+        let n = PAIRS_PER_EPOCH.min(pairs - done);
+        let mut run_compacting = || {
+            let start = Instant::now();
+            compact_stream.next_pairs(n, |op, last| {
+                let txn = op.txn;
+                black_box(compacting.push(op).expect("coherent stream"));
+                if last {
+                    compacting.finish_txn(txn);
+                }
+            });
+            if n == PAIRS_PER_EPOCH {
+                peak_pre = peak_pre.max(compacting.resident_bytes_estimate());
+                compacting.compact();
+            }
+            compact_time += start.elapsed();
+        };
+        let mut run_baseline = || {
+            let start = Instant::now();
+            baseline_stream.next_pairs(n, |op, _| {
+                black_box(baseline.push(op).expect("coherent stream"));
+            });
+            baseline_time += start.elapsed();
+        };
+        if compacting_first == (done / PAIRS_PER_EPOCH).is_multiple_of(2) {
+            run_compacting();
+            run_baseline();
+        } else {
+            run_baseline();
+            run_compacting();
+        }
+        done += n;
+    }
+    let start = Instant::now();
+    compacting.compact();
+    compact_time += start.elapsed();
+    let ops = (pairs * 2 * OPS_PER_TXN) as f64;
+    let post = compacting.resident_bytes_estimate();
+    Round {
+        compact_ns_per_op: compact_time.as_nanos() as f64 / ops,
+        baseline_ns_per_op: baseline_time.as_nanos() as f64 / ops,
+        compacting,
+        baseline,
+        peak_pre,
+        post,
+    }
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Run the comparison. `trials` scales the stream length (0 = 10
@@ -148,49 +253,26 @@ pub fn cmp1(trials: u64, _seed: u64) -> (bool, String, CompactExpStats) {
     let pairs = pairs.max(2 * PAIRS_PER_EPOCH);
     let total_ops = (pairs * 2 * OPS_PER_TXN) as u64;
 
-    // Compacting twin: finish each transaction at its last op, compact
-    // every PAIRS_PER_EPOCH pairs. Resident is sampled around each
-    // sweep; the sweeps run inside the timed region (their cost is
-    // part of the path's amortized per-op price).
-    let mut compacting = OnlineMonitor::new(scopes());
-    let mut since_epoch = 0usize;
-    let mut peak_pre = 0usize;
-    let start = Instant::now();
-    {
-        let m = &mut compacting;
-        let mut done_in_pair = 0usize;
-        stream(pairs, |op, last| {
-            let txn = op.txn;
-            black_box(m.push(op).expect("coherent stream"));
-            if last {
-                m.finish_txn(txn);
-                done_in_pair += 1;
-                if done_in_pair == 2 {
-                    done_in_pair = 0;
-                    since_epoch += 1;
-                    if since_epoch == PAIRS_PER_EPOCH {
-                        since_epoch = 0;
-                        peak_pre = peak_pre.max(m.resident_bytes_estimate());
-                        m.compact();
-                    }
-                }
-            }
-        });
-        m.compact();
+    // Every round streams the same operations, so the monitors and
+    // resident figures of the last round stand for all of them.
+    let (mut compact_ns, mut baseline_ns) = (Vec::new(), Vec::new());
+    let mut last = None;
+    for r in 0..ROUNDS {
+        drop(last.take()); // one round's monitors resident at a time
+        let round = round(pairs, r % 2 == 0);
+        compact_ns.push(round.compact_ns_per_op);
+        baseline_ns.push(round.baseline_ns_per_op);
+        last = Some(round);
     }
-    let compact_ns_per_op = start.elapsed().as_nanos() as f64 / total_ops as f64;
-    let resident_post = compacting.resident_bytes_estimate();
-
-    // Uncompacted twin: identical stream, full history retained.
-    let mut baseline = OnlineMonitor::new(scopes());
-    let start = Instant::now();
-    {
-        let m = &mut baseline;
-        stream(pairs, |op, _| {
-            black_box(m.push(op).expect("coherent stream"));
-        });
-    }
-    let baseline_ns_per_op = start.elapsed().as_nanos() as f64 / total_ops as f64;
+    let Round {
+        compacting,
+        baseline,
+        peak_pre,
+        post: resident_post,
+        ..
+    } = last.expect("ROUNDS > 0");
+    let compact_ns_per_op = median(compact_ns);
+    let baseline_ns_per_op = median(baseline_ns);
     let baseline_resident = baseline.resident_bytes_estimate();
 
     let stats = CompactExpStats {

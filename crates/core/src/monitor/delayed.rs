@@ -5,14 +5,19 @@
 //! the writer's next operation proves it was still running, so the
 //! prefix ending there is the first that is not DR. The same
 //! materialization kills the Lemma 6 certificate of every conjunct
-//! whose scope meets the marked items. [`OnlineMonitor`] applies these
-//! rules inside its single-writer push and [`ShardedMonitor`] inside
-//! its global stage; both journal the same [`GlobalDelta`] fields and
-//! retract through [`DelayedReads::undo`].
+//! whose scope holds a marked item — found through the item →
+//! conjuncts index, so only those conjuncts are visited. The rules run
+//! inside the certification core's global stage
+//! ([`GlobalState`](super::certify::GlobalState)), which both monitors
+//! share: [`OnlineMonitor`] applies it inside its single-writer push
+//! and [`ShardedMonitor`] inside its ticketed global stage; both
+//! journal the same [`GlobalDelta`] fields and retract through
+//! [`DelayedReads::undo`].
 //!
 //! [`OnlineMonitor`]: super::OnlineMonitor
 //! [`ShardedMonitor`]: super::sharded::ShardedMonitor
 
+use super::certify::Scopes;
 use super::undo::GlobalDelta;
 use crate::ids::{ItemId, OpIndex};
 use crate::state::ItemSet;
@@ -41,7 +46,7 @@ impl DelayedReads {
     }
 
     /// Apply the operation at `p` of the transaction in `slot` on
-    /// `item`, recording what changed in `delta`. `rf_slot` is the
+    /// `item`, recording what changed in `log` if given. `rf_slot` is the
     /// slot of the write a *read* takes its value from; it is `None`
     /// for writes, for reads of the initial state, and for reads whose
     /// writer lies below the compaction base (a summarized writer is
@@ -50,12 +55,12 @@ impl DelayedReads {
     /// operation was the first to materialize a dirty read.
     pub(crate) fn apply(
         &mut self,
-        scopes: &[ItemSet],
+        scopes: &Scopes,
         slot: usize,
         item: ItemId,
         rf_slot: Option<usize>,
         p: OpIndex,
-        delta: &mut GlobalDelta,
+        mut log: Option<&mut GlobalDelta>,
     ) -> bool {
         if self.dirty_reads.len() <= slot {
             self.dirty_reads.resize_with(slot + 1, ItemSet::new);
@@ -67,13 +72,20 @@ impl DelayedReads {
         if !marks.is_empty() {
             if self.first_non_dr.is_none() {
                 self.first_non_dr = Some(p);
-                delta.set_first_non_dr = true;
                 caused = true;
+                if let Some(d) = log.as_deref_mut() {
+                    d.set_first_non_dr = true;
+                }
             }
-            for (k, scope) in scopes.iter().enumerate() {
-                if self.conjunct_non_dr[k].is_none() && !scope.is_disjoint(marks) {
-                    self.conjunct_non_dr[k] = Some(p);
-                    delta.conjunct_non_dr_set.push(k as u32);
+            for marked in marks.iter() {
+                for &k in scopes.of(marked) {
+                    let kill = &mut self.conjunct_non_dr[k as usize];
+                    if kill.is_none() {
+                        *kill = Some(p);
+                        if let Some(d) = log.as_deref_mut() {
+                            d.conjunct_non_dr_set.push(k);
+                        }
+                    }
                 }
             }
         }
@@ -81,7 +93,9 @@ impl DelayedReads {
         //    writer's next operation (step 1, later push) trips it.
         if let Some(w_slot) = rf_slot {
             if w_slot != slot && self.dirty_reads[w_slot].insert(item) {
-                delta.dr_mark = Some(w_slot as u32);
+                if let Some(d) = log {
+                    d.dr_mark = Some(w_slot as u32);
+                }
             }
         }
         caused

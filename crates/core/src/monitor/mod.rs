@@ -64,9 +64,20 @@
 //! `tests/monitor_props.rs` — the expensive recomputation is the
 //! test oracle, not the runtime path.
 //!
-//! ## Beyond the single writer
+//! ## One certification core, two monitors
 //!
-//! Three layers added on top of the per-push core:
+//! The per-push rules — the global stage (global graph plus the
+//! delayed-read rules) and one reduced conflict graph per conjunct,
+//! each with its apply, undo, compaction and admission probe — are the
+//! certification core (`monitor/certify.rs`), written once. [`OnlineMonitor`] runs the core
+//! inline, one push at a time; the **sharded concurrent monitor**
+//! ([`sharded::ShardedMonitor`]) runs the same stages behind
+//! per-stage locks and ticket turnstiles, for certification under real
+//! OS-thread parallelism. The core's item → conjuncts index means a
+//! push or a probe visits only the conjuncts whose scope holds its
+//! item, never every scope.
+//!
+//! On top of the core, the single writer keeps:
 //!
 //! * an **undo-log** ([`OnlineMonitor::push_logged`] /
 //!   [`OnlineMonitor::truncate_to`]): every logged push records the
@@ -81,14 +92,14 @@
 //! * the **Theorem 1/3 hypotheses live**
 //!   ([`OnlineMonitor::guarantees`]): fixed structure is a property of
 //!   the *programs* ([`ProgramTraits`], supplied once at
-//!   construction), scope disjointness is checked once at
-//!   construction, and `DAG(S, IC)` acyclicity rides an incremental
-//!   [`OnlineAccessDag`] instead of being
-//!   rebuilt from the trace;
-//! * a **sharded concurrent monitor** ([`sharded::ShardedMonitor`]):
-//!   per-conjunct shards behind their own locks with a ticketed
-//!   pipeline, for certification under real OS-thread parallelism.
+//!   construction), scope disjointness is read off the item →
+//!   conjuncts index once at construction, and `DAG(S, IC)`
+//!   acyclicity rides an incremental [`OnlineAccessDag`] instead of
+//!   being rebuilt from the trace.
+//!
+//! [`IncrementalDag`]: crate::graph::IncrementalDag
 
+mod certify;
 mod delayed;
 pub mod journal;
 pub mod sharded;
@@ -97,7 +108,6 @@ pub mod undo;
 use crate::constraint::IntegrityConstraint;
 use crate::dag::OnlineAccessDag;
 use crate::error::{CoreError, MalformedKind, Result};
-use crate::graph::IncrementalDag;
 use crate::ids::{ItemId, OpIndex, TxnId};
 use crate::index::{PrefixTables, ScheduleIndex};
 use crate::op::{Action, Operation};
@@ -105,11 +115,9 @@ use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use crate::theorems::{Guarantee, ProgramTraits};
 use crate::viewset::inclusion_holds_everywhere;
-use delayed::DelayedReads;
+use certify::{GlobalState, ProjGraph, Scopes};
 use std::collections::HashSet;
 use undo::{GraphDelta, PushDelta, SeqDelta, UndoLog};
-
-const ABSENT: u32 = u32::MAX;
 
 /// A growing [`Schedule`] plus the PR-2 positional/prefix tables,
 /// maintained in `O(words)` per appended operation.
@@ -215,298 +223,6 @@ impl OnlineIndex {
     }
 }
 
-/// One projection's reduced conflict graph, maintained incrementally.
-///
-/// Mirrors the batch reduced construction (each operation conflicts
-/// with the latest writer of its item and, for writes, the readers
-/// since that write — same transitive closure as the full graph) on
-/// top of [`IncrementalDag`]. Once a cycle appears the graph freezes:
-/// conflict edges are only ever added, so the projection stays
-/// non-serializable for every longer prefix.
-#[derive(Clone, Debug, Default)]
-struct ProjGraph {
-    dag: IncrementalDag,
-    /// Schedule transaction slot → projection node.
-    node_of_slot: Vec<u32>,
-    /// Projection node → schedule transaction slot.
-    slot_of_node: Vec<u32>,
-    /// Per item: the node of its latest writer.
-    last_writer: Vec<u32>,
-    /// Per item: reader nodes since the latest write.
-    readers: Vec<Vec<u32>>,
-    /// First prefix position whose projection is non-serializable.
-    cyclic_at: Option<OpIndex>,
-}
-
-impl ProjGraph {
-    fn grow(&mut self, slot: usize, item: usize) {
-        if self.node_of_slot.len() <= slot {
-            self.node_of_slot.resize(slot + 1, ABSENT);
-        }
-        if self.last_writer.len() <= item {
-            self.last_writer.resize(item + 1, ABSENT);
-            self.readers.resize_with(item + 1, Vec::new);
-        }
-    }
-
-    fn node(&mut self, slot: usize) -> u32 {
-        if self.node_of_slot[slot] == ABSENT {
-            let n = self.dag.add_node();
-            self.node_of_slot[slot] = n;
-            self.slot_of_node.push(slot as u32);
-        }
-        self.node_of_slot[slot]
-    }
-
-    /// Conflict-edge sources the next access would add (all edges end
-    /// at the accessing transaction's node).
-    fn edge_sources(&self, node: u32, item: usize, is_write: bool, out: &mut Vec<u32>) {
-        out.clear();
-        let Some(&w) = self.last_writer.get(item) else {
-            return;
-        };
-        if w != ABSENT && w != node {
-            out.push(w);
-        }
-        if is_write {
-            if let Some(readers) = self.readers.get(item) {
-                out.extend(readers.iter().copied().filter(|&r| r != node));
-            }
-        }
-    }
-
-    /// Would this access keep the projection acyclic? Read-only.
-    fn admits(&self, slot: Option<usize>, item: usize, is_write: bool) -> bool {
-        if self.cyclic_at.is_some() {
-            return false;
-        }
-        let node = match slot.map(|s| self.node_of_slot.get(s).copied().unwrap_or(ABSENT)) {
-            // A fresh node only *receives* edges: no cycle possible.
-            None | Some(ABSENT) => return true,
-            Some(n) => n,
-        };
-        let mut sources = Vec::new();
-        self.edge_sources(node, item, is_write, &mut sources);
-        self.dag.admits_edges_into(&sources, node)
-    }
-
-    /// Record one access, adding its reduced conflict edges.
-    fn apply(&mut self, slot: usize, item: usize, is_write: bool, p: OpIndex) {
-        self.apply_inner(slot, item, is_write, p, None);
-    }
-
-    /// [`ProjGraph::apply`] recording the exact deltas applied, for
-    /// LIFO retraction by [`ProjGraph::undo`].
-    fn apply_logged(&mut self, slot: usize, item: usize, is_write: bool, p: OpIndex) -> GraphDelta {
-        let mut delta = GraphDelta::default();
-        self.apply_inner(slot, item, is_write, p, Some(&mut delta));
-        delta
-    }
-
-    fn apply_inner(
-        &mut self,
-        slot: usize,
-        item: usize,
-        is_write: bool,
-        p: OpIndex,
-        mut log: Option<&mut GraphDelta>,
-    ) {
-        if self.cyclic_at.is_some() {
-            return; // frozen: non-serializability is monotone
-        }
-        self.grow(slot, item);
-        let created = self.node_of_slot[slot] == ABSENT;
-        let t = self.node(slot);
-        if created {
-            if let Some(d) = log.as_deref_mut() {
-                d.added_node = true;
-            }
-        }
-        // Insert one conflict edge, journaling fresh insertions.
-        fn insert(
-            dag: &mut IncrementalDag,
-            from: u32,
-            to: u32,
-            log: &mut Option<&mut GraphDelta>,
-        ) -> bool {
-            match log {
-                Some(d) => {
-                    if dag.has_edge(from, to) {
-                        return false;
-                    }
-                    match dag.add_edge(from, to) {
-                        Ok(()) => {
-                            d.edges.push((from, to));
-                            false
-                        }
-                        Err(_) => true,
-                    }
-                }
-                None => dag.add_edge(from, to).is_err(),
-            }
-        }
-        let w = self.last_writer[item];
-        let mut closed = false;
-        if w != ABSENT && w != t {
-            closed |= insert(&mut self.dag, w, t, &mut log);
-        }
-        if is_write {
-            let readers = std::mem::take(&mut self.readers[item]);
-            for &r in &readers {
-                if r != t {
-                    closed |= insert(&mut self.dag, r, t, &mut log);
-                }
-            }
-            self.last_writer[item] = t;
-            if let Some(d) = log.as_deref_mut() {
-                // The drained reader list and the displaced writer are
-                // exactly what retraction must put back.
-                d.write_undo = Some((w, readers));
-            }
-        } else {
-            self.readers[item].push(t);
-            if let Some(d) = log.as_deref_mut() {
-                d.read_pushed = true;
-            }
-        }
-        if closed {
-            self.cyclic_at = Some(p);
-            if let Some(d) = log {
-                d.froze = true;
-            }
-        }
-    }
-
-    /// Retract one logged access. Sound only in LIFO (journal) order:
-    /// the maintained Pearce–Kelly order then satisfies a superset of
-    /// the surviving constraints, so no reordering is needed.
-    fn undo(&mut self, slot: usize, item: usize, is_write: bool, delta: GraphDelta) {
-        if delta.froze {
-            self.cyclic_at = None;
-        }
-        if is_write {
-            if let Some((prev_writer, readers)) = delta.write_undo {
-                self.last_writer[item] = prev_writer;
-                debug_assert!(self.readers[item].is_empty());
-                self.readers[item] = readers;
-            }
-        } else if delta.read_pushed {
-            let popped = self.readers[item].pop();
-            debug_assert_eq!(popped, Some(self.node_of_slot[slot]));
-        }
-        for &(u, v) in delta.edges.iter().rev() {
-            self.dag.remove_edge(u, v);
-        }
-        if delta.added_node {
-            self.dag.remove_last_node();
-            self.slot_of_node.pop();
-            self.node_of_slot[slot] = ABSENT;
-        }
-    }
-
-    /// Committed-prefix compaction of one projection. The `s_cut`
-    /// summarized transaction slots occupy the node-id prefix (node
-    /// ids follow first-access order, and every summarized access
-    /// precedes every survivor access in the schedule); their nodes are
-    /// dropped except the **boundary facts** — each item's last writer
-    /// and readers-since-last-write — plus any node a retained undo
-    /// entry references (`kept` marks those), with reachability among
-    /// all kept nodes condensed exactly
-    /// ([`IncrementalDag::retain_condensed`]). Kept summarized nodes
-    /// lose their slot (they are pure summary — `ABSENT` in
-    /// `slot_of_node`, skipped by [`ProjGraph::order`]); survivor slots
-    /// shift down by `s_cut`. Returns the old→new node map
-    /// (`ABSENT` = dropped) so undo entries can be renamed.
-    ///
-    /// Verdict parity: `admits`/`apply` consult only `last_writer`,
-    /// `readers` and reachability between their nodes — all preserved
-    /// exactly — and `cyclic_at` is an absolute position, so every
-    /// future verdict equals the uncompacted twin's.
-    fn compact(&mut self, s_cut: usize, mut kept: Vec<bool>) -> Vec<u32> {
-        debug_assert_eq!(kept.len(), self.dag.len());
-        // The to-be-summarized prefix: slot-less summary nodes from
-        // earlier compactions (kept back then only for boundary facts
-        // or undo references — re-evaluated below, so stale ones are
-        // finally dropped) plus the nodes of slots `0..s_cut`.
-        let b = self
-            .slot_of_node
-            .iter()
-            .take_while(|&&s| s == ABSENT || (s as usize) < s_cut)
-            .count();
-        debug_assert!(self.slot_of_node[b..]
-            .iter()
-            .all(|&s| s != ABSENT && (s as usize) >= s_cut));
-        for k in kept.iter_mut().skip(b) {
-            *k = true; // survivors always stay
-        }
-        for &w in &self.last_writer {
-            if w != ABSENT {
-                kept[w as usize] = true;
-            }
-        }
-        for rs in &self.readers {
-            for &r in rs {
-                kept[r as usize] = true;
-            }
-        }
-        let map = self.dag.retain_condensed(&kept);
-        let mut node_of_slot = vec![ABSENT; self.node_of_slot.len().saturating_sub(s_cut)];
-        let mut slot_of_node = vec![ABSENT; self.dag.len()];
-        for (old, &slot) in self.slot_of_node.iter().enumerate() {
-            let new = map[old];
-            if new != ABSENT && slot != ABSENT && (slot as usize) >= s_cut {
-                node_of_slot[slot as usize - s_cut] = new;
-                slot_of_node[new as usize] = slot - s_cut as u32;
-            }
-        }
-        self.node_of_slot = node_of_slot;
-        self.slot_of_node = slot_of_node;
-        for w in &mut self.last_writer {
-            if *w != ABSENT {
-                *w = map[*w as usize];
-            }
-        }
-        for rs in &mut self.readers {
-            for r in rs.iter_mut() {
-                *r = map[*r as usize];
-            }
-        }
-        map
-    }
-
-    /// Structural memory estimate (heap rows, not allocator-exact).
-    fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.dag.len() * (size_of::<u32>() * 4)
-            + self.dag.edge_count() * size_of::<u32>() * 2
-            + (self.node_of_slot.len() + self.slot_of_node.len() + self.last_writer.len())
-                * size_of::<u32>()
-            + self
-                .readers
-                .iter()
-                .map(|r| size_of::<Vec<u32>>() + r.len() * size_of::<u32>())
-                .sum::<usize>()
-    }
-
-    fn serializable(&self) -> bool {
-        self.cyclic_at.is_none()
-    }
-
-    /// The maintained serialization order, `None` once cyclic.
-    /// Summarized (slot-less) summary nodes are skipped: the order is
-    /// over the *surviving* transactions.
-    fn order(&self, txns: &[TxnId]) -> Option<Vec<TxnId>> {
-        self.serializable().then(|| {
-            self.dag
-                .order()
-                .iter()
-                .filter(|&&n| self.slot_of_node[n as usize] != ABSENT)
-                .map(|&n| txns[self.slot_of_node[n as usize] as usize])
-                .collect()
-        })
-    }
-}
-
 /// The verdict ladder after a push, strongest guarantee first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VerdictLevel {
@@ -593,55 +309,6 @@ impl Verdict {
     pub fn pwsr(&self) -> bool {
         self.first_violation.is_none()
     }
-
-    /// The verdict over a prefix of `len` operations from its parts —
-    /// the global graph, the delayed-read state and the first conjunct
-    /// cycle — shared by both monitors.
-    fn assemble(
-        len: usize,
-        global: &ProjGraph,
-        dr: &DelayedReads,
-        first_violation: Option<OpIndex>,
-    ) -> Verdict {
-        let serializable = global.serializable();
-        let pwsr = first_violation.is_none();
-        let first_non_dr = dr.first_non_dr();
-        Verdict {
-            len,
-            level: VerdictLevel::compose(serializable, first_non_dr.is_none(), pwsr),
-            serializable,
-            dr: first_non_dr.is_none(),
-            first_violation,
-            first_non_serializable: global.cyclic_at,
-            first_non_dr,
-            lemma2_certified: pwsr,
-            lemma6_certified: pwsr && dr.all_conjuncts_clean(),
-        }
-    }
-}
-
-/// The compaction frontier of `s` (see
-/// [`OnlineMonitor::compaction_frontier`]): the longest prefix, at most
-/// `limit` long, in which every operation belongs to a `finished`
-/// transaction whose last operation also lies in that prefix.
-fn frontier_scan(s: &Schedule, finished: &HashSet<TxnId>, limit: usize) -> usize {
-    let mut hi = s.base();
-    let mut frontier = s.base();
-    for p in s.base()..limit {
-        let slot = s.slot_of_op(OpIndex(p));
-        if !finished.contains(&s.txn_ids()[slot]) {
-            break;
-        }
-        let last = s.slot_last_raw(slot) as usize;
-        if last >= limit {
-            break;
-        }
-        hi = hi.max(last + 1);
-        if p + 1 == hi {
-            frontier = p + 1;
-        }
-    }
-    frontier
 }
 
 /// The transactions collapsed into the permanent prefix by
@@ -694,6 +361,81 @@ impl SummarizedSet {
     }
 }
 
+/// The committed-prefix compaction bookkeeping both monitors keep:
+/// which transactions are finished or summarized, and what compaction
+/// has reclaimed.
+#[derive(Clone, Debug, Default)]
+struct Compaction {
+    /// Transactions declared finished but not yet summarized — the
+    /// compaction frontier advances only over finished transactions.
+    finished: HashSet<TxnId>,
+    /// Transactions collapsed into the permanent prefix: pushes (and
+    /// retractions) for them are rejected with
+    /// [`CoreError::SummarizedTransaction`].
+    summarized: SummarizedSet,
+    /// Compaction calls that actually advanced the frontier.
+    compactions: u64,
+    /// Total operations reclaimed across all compactions.
+    ops_reclaimed: u64,
+}
+
+impl Compaction {
+    /// Refuse `txn` if it was summarized.
+    fn check(&self, txn: TxnId) -> Result<()> {
+        if self.summarized.contains(txn) {
+            return Err(CoreError::SummarizedTransaction { txn });
+        }
+        Ok(())
+    }
+
+    /// Declare `txn` finished, if `s` holds any of its operations.
+    fn finish(&mut self, s: &Schedule, txn: TxnId) {
+        if s.txn_slot(txn).is_some() {
+            self.finished.insert(txn);
+        }
+    }
+
+    /// The compaction frontier of `s` (see
+    /// [`OnlineMonitor::compaction_frontier`]): the longest prefix, at
+    /// most `limit` long, in which every operation belongs to a
+    /// finished transaction whose last operation also lies in that
+    /// prefix.
+    fn frontier(&self, s: &Schedule, limit: usize) -> usize {
+        let mut hi = s.base();
+        let mut frontier = s.base();
+        for p in s.base()..limit {
+            let slot = s.slot_of_op(OpIndex(p));
+            if !self.finished.contains(&s.txn_ids()[slot]) {
+                break;
+            }
+            let last = s.slot_last_raw(slot) as usize;
+            if last >= limit {
+                break;
+            }
+            hi = hi.max(last + 1);
+            if p + 1 == hi {
+                frontier = p + 1;
+            }
+        }
+        frontier
+    }
+
+    /// Record a compaction of `base..frontier` that summarized `txns`.
+    fn record(&mut self, base: usize, frontier: usize, txns: &[TxnId]) -> CompactStats {
+        for t in txns {
+            self.finished.remove(t);
+            self.summarized.insert(*t);
+        }
+        self.compactions += 1;
+        self.ops_reclaimed += (frontier - base) as u64;
+        CompactStats {
+            frontier,
+            ops_reclaimed: frontier - base,
+            txns_summarized: txns.len(),
+        }
+    }
+}
+
 /// What one [`OnlineMonitor::compact`] /
 /// [`sharded::ShardedMonitor::compact`] call reclaimed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -710,16 +452,19 @@ pub struct CompactStats {
 /// Live verdicts over a growing schedule: per-conjunct and global
 /// conflict graphs under incremental cycle detection, delayed-read
 /// tracking, and the Lemma 2/6 inclusion certificates — all updated in
-/// `O(words)` amortized per [`OnlineMonitor::push`].
+/// `O(words)` amortized per [`OnlineMonitor::push`]. It is the
+/// certification core (`monitor/certify.rs`) run inline, plus the
+/// prefix tables, the live access DAG and one undo entry per logged
+/// push.
 #[derive(Clone, Debug)]
 pub struct OnlineMonitor {
     index: OnlineIndex,
-    /// The conjunct data sets `d_e` (projection scopes).
-    scopes: Vec<ItemSet>,
-    global: ProjGraph,
+    /// The conjunct data sets `d_e` and the item → conjuncts index.
+    scopes: Scopes,
+    /// The global stage: global graph plus delayed-read rules.
+    global: GlobalState,
+    /// One conflict graph per conjunct stage.
     conjuncts: Vec<ProjGraph>,
-    /// Delayed-read marks and kills (the shared [`delayed`] rules).
-    dr: DelayedReads,
     first_violation: Option<OpIndex>,
     /// What is known about the generating programs (Theorem 1 input;
     /// static, supplied at construction).
@@ -732,17 +477,9 @@ pub struct OnlineMonitor {
     /// Per-push retraction deltas above the log's floor, when logging
     /// (the shared [`undo`] layer; unlogged pushes raise the floor).
     log: Option<UndoLog<PushDelta>>,
-    /// Transactions declared finished ([`OnlineMonitor::finish_txn`])
-    /// but not yet summarized — the compaction frontier advances only
-    /// over finished transactions.
-    finished: HashSet<TxnId>,
-    /// Transactions collapsed into the permanent prefix: pushes for
-    /// them are rejected with [`CoreError::SummarizedTransaction`].
-    summarized: SummarizedSet,
-    /// Compaction calls that actually advanced the frontier.
-    compactions: u64,
-    /// Total operations reclaimed across all compactions.
-    ops_reclaimed: u64,
+    /// Finished and summarized transactions
+    /// ([`OnlineMonitor::finish_txn`], [`OnlineMonitor::compact`]).
+    compaction: Compaction,
 }
 
 impl OnlineMonitor {
@@ -759,25 +496,19 @@ impl OnlineMonitor {
     /// every theorem — is also decided here: both inputs are static.
     pub fn with_traits(scopes: Vec<ItemSet>, traits: ProgramTraits) -> OnlineMonitor {
         let n = scopes.len();
-        let scopes_disjoint = scopes
-            .iter()
-            .enumerate()
-            .all(|(i, a)| scopes[i + 1..].iter().all(|b| a.is_disjoint(b)));
+        let scopes = Scopes::new(scopes);
+        let scopes_disjoint = scopes.disjoint();
         OnlineMonitor {
             index: OnlineIndex::new(),
             scopes,
-            global: ProjGraph::default(),
+            global: GlobalState::new(n),
             conjuncts: vec![ProjGraph::default(); n],
-            dr: DelayedReads::new(n),
             first_violation: None,
             traits,
             scopes_disjoint,
             access_dag: OnlineAccessDag::new(n),
             log: None,
-            finished: HashSet::new(),
-            summarized: SummarizedSet::default(),
-            compactions: 0,
-            ops_reclaimed: 0,
+            compaction: Compaction::default(),
         }
     }
 
@@ -789,9 +520,11 @@ impl OnlineMonitor {
 
     /// Append one operation and return the updated verdict.
     ///
-    /// Cost: the `O(words)` index update, the touched graphs' edge
-    /// insertions (amortized near-constant under Pearce–Kelly), and an
-    /// `O(|scopes|)` scan — no table rebuild, no schedule rescan.
+    /// Cost: the `O(words)` index update and the edge insertions of
+    /// the global graph and of the conjuncts whose scope holds the item
+    /// (amortized near-constant under Pearce–Kelly; the item →
+    /// conjuncts index finds them) — no scan of the scopes, no table
+    /// rebuild, no schedule rescan.
     ///
     /// An unlogged push is permanent: it raises the floor below which
     /// [`OnlineMonitor::truncate_to`] can retract.
@@ -813,10 +546,8 @@ impl OnlineMonitor {
     }
 
     fn push_inner(&mut self, op: Operation, logged: bool) -> Result<Verdict> {
-        if self.summarized.contains(op.txn) {
-            return Err(CoreError::SummarizedTransaction { txn: op.txn });
-        }
-        let (item, is_read) = (op.item, op.is_read());
+        self.compaction.check(op.txn)?;
+        let (item, is_write) = (op.item, op.is_write());
         let existing_slot = self.index.schedule().txn_slot(op.txn);
         let mut delta = PushDelta {
             seq: SeqDelta {
@@ -834,41 +565,33 @@ impl OnlineMonitor {
         let p = self.index.push(op)?;
         let schedule = self.index.schedule();
         let slot = schedule.slot_of_op(p);
-        // 1–2. Delayed-read rules; a read's reads-from writer below the
-        //      compaction base carries no mark (see `DelayedReads::apply`).
-        let rf_slot = if is_read {
+        // A read's reads-from writer below the compaction base carries
+        // no dirty-read mark (see `DelayedReads::apply`).
+        let rf_slot = if is_write {
+            None
+        } else {
             self.index
                 .reads_from(p)
                 .filter(|w| w.0 >= schedule.base())
                 .map(|w| schedule.slot_of_op(w))
-        } else {
-            None
         };
-        self.dr
-            .apply(&self.scopes, slot, item, rf_slot, p, &mut delta.global);
-        // 3. Conflict graphs: global plus every scope containing the
-        //    item (this is where serializability / PWSR flip), and the
-        //    live data access graph (Theorem 3's hypothesis).
-        if logged {
-            delta.global.graph = self.global.apply_logged(slot, item.index(), !is_read, p);
-        } else {
-            self.global.apply(slot, item.index(), !is_read, p);
-        }
-        for (k, scope) in self.scopes.iter().enumerate() {
-            if scope.contains(item) {
-                if logged {
-                    let d = self.conjuncts[k].apply_logged(slot, item.index(), !is_read, p);
-                    delta.conjuncts.push((k as u32, d));
-                    let d = self.access_dag.record_logged(slot, k as u32, !is_read, p);
-                    delta.dag_deltas.push((k as u32, d));
-                } else {
-                    self.conjuncts[k].apply(slot, item.index(), !is_read, p);
-                    self.access_dag.record(slot, k as u32, !is_read, p);
-                }
-                if self.first_violation.is_none() && self.conjuncts[k].cyclic_at == Some(p) {
-                    self.first_violation = Some(p);
-                    delta.set_first_violation = true;
-                }
+        // The certification core: the global stage, then every
+        // conjunct whose scope holds the item (where PWSR flips), plus
+        // the live data access graph (Theorem 3's hypothesis).
+        let op = schedule.op(p);
+        let log = logged.then_some(&mut delta.global);
+        self.global.apply(&self.scopes, slot, op, rf_slot, p, log);
+        for &k in self.scopes.of(item) {
+            let mut d = logged.then(GraphDelta::default);
+            let graph = &mut self.conjuncts[k as usize];
+            if graph.apply(slot, item.index(), is_write, p, d.as_mut()) {
+                self.first_violation.get_or_insert(p);
+            }
+            if let Some(d) = d {
+                let dag = self.access_dag.record_logged(slot, k, is_write, p);
+                delta.conjuncts.push((k, d, dag));
+            } else {
+                self.access_dag.record(slot, k, is_write, p);
             }
         }
         if logged {
@@ -920,9 +643,7 @@ impl OnlineMonitor {
             ops.iter().all(|o| o.txn == txn),
             "push_batch requires a single-transaction batch (the program-order unit)"
         );
-        if self.summarized.contains(txn) {
-            return Err(CoreError::SummarizedTransaction { txn });
-        }
+        self.compaction.check(txn)?;
         // Pre-validate the whole run on simulated bitsets so the
         // per-op loop below cannot fail midway.
         let (mut rs, mut ws) = match self.index.schedule().txn_slot(txn) {
@@ -983,22 +704,19 @@ impl OnlineMonitor {
                 .pop()
                 .expect("one log entry per logged push");
             let p = OpIndex(self.index.len() - 1);
-            let slot = self.index.schedule().slot_of_op(p);
-            let op = self.index.schedule().op(p).clone();
-            let (item, is_write) = (op.item, op.is_write());
+            let schedule = self.index.schedule();
+            let slot = schedule.slot_of_op(p);
+            let op = schedule.op(p);
+            let (item, is_write) = (op.item.index(), op.is_write());
             // Reverse application order: graphs first, then tables.
-            for (k, d) in delta.dag_deltas.into_iter().rev() {
-                self.access_dag.undo(slot, k, is_write, &d);
+            for (k, d, dag) in delta.conjuncts.into_iter().rev() {
+                self.access_dag.undo(slot, k, is_write, &dag);
+                self.conjuncts[k as usize].undo(slot, item, is_write, d);
             }
-            for (k, d) in delta.conjuncts.into_iter().rev() {
-                self.conjuncts[k as usize].undo(slot, item.index(), is_write, d);
-            }
-            if delta.set_first_violation {
+            if self.first_violation == Some(p) {
                 self.first_violation = None;
             }
-            self.dr.undo(slot, item, delta.seq.new_slot, &delta.global);
-            self.global
-                .undo(slot, item.index(), is_write, delta.global.graph);
+            self.global.undo(slot, op, delta.seq.new_slot, delta.global);
             self.index.pop_for_undo(&delta.seq);
         }
         undone
@@ -1036,9 +754,7 @@ impl OnlineMonitor {
     /// transaction is summarized — a later push for it is still
     /// accepted and simply holds the frontier back.
     pub fn finish_txn(&mut self, txn: TxnId) {
-        if self.index.schedule().txn_slot(txn).is_some() {
-            self.finished.insert(txn);
-        }
+        self.compaction.finish(self.index.schedule(), txn);
     }
 
     /// The **compaction frontier**: the longest prefix in which every
@@ -1048,7 +764,8 @@ impl OnlineMonitor {
     /// frontier-safety condition shared with checkpointing and WAL
     /// truncation).
     pub fn compaction_frontier(&self) -> usize {
-        frontier_scan(self.index.schedule(), &self.finished, self.log_floor())
+        self.compaction
+            .frontier(self.index.schedule(), self.log_floor())
     }
 
     /// **Committed-prefix compaction**: collapse the prefix below
@@ -1071,72 +788,43 @@ impl OnlineMonitor {
         if frontier <= base {
             return CompactStats {
                 frontier: base,
-                ops_reclaimed: 0,
-                txns_summarized: 0,
+                ..CompactStats::default()
             };
-        }
-        // Nodes a retained undo entry references must survive the
-        // condensation: the entry has to stay replayable in LIFO order.
-        let mut kept_global = vec![false; self.global.dag.len()];
-        let mut kept_conj: Vec<Vec<bool>> = self
-            .conjuncts
-            .iter()
-            .map(|g| vec![false; g.dag.len()])
-            .collect();
-        if let Some(log) = &self.log {
-            for delta in log.iter() {
-                delta.global.mark_nodes(&mut kept_global);
-                for (k, d) in &delta.conjuncts {
-                    d.mark_nodes(&mut kept_conj[*k as usize]);
-                }
-            }
         }
         let summarized = self.index.compact(frontier);
         let s_cut = summarized.len();
-        let gmap = self.global.compact(s_cut, kept_global);
-        let cmaps: Vec<Vec<u32>> = self
-            .conjuncts
-            .iter_mut()
-            .zip(kept_conj)
-            .map(|(g, kept)| g.compact(s_cut, kept))
-            .collect();
-        // Rename the node ids retained undo entries reference.
-        if let Some(log) = &mut self.log {
-            for delta in log.iter_mut() {
-                delta.global.remap(&gmap, s_cut as u32);
-                for (k, d) in &mut delta.conjuncts {
-                    d.remap_nodes(&cmaps[*k as usize]);
-                }
-            }
+        // Each stage condenses with the retained undo entries that
+        // reference it (they must stay replayable in LIFO order).
+        let log = &mut self.log;
+        self.global.compact(s_cut, |visit| {
+            let entries = log.iter_mut().flat_map(UndoLog::iter_mut);
+            entries.for_each(|d| visit(&mut d.global));
+        });
+        for (k, graph) in self.conjuncts.iter_mut().enumerate() {
+            graph.compact(s_cut, |visit| {
+                let entries = log.iter_mut().flat_map(UndoLog::iter_mut);
+                let mine = entries.flat_map(|d| &mut d.conjuncts);
+                mine.filter(|c| c.0 as usize == k)
+                    .for_each(|c| visit(&mut c.1));
+            });
         }
-        self.dr.compact(s_cut);
         self.access_dag.compact_entities(s_cut);
-        for t in &summarized {
-            self.finished.remove(t);
-            self.summarized.insert(*t);
-        }
-        self.compactions += 1;
-        self.ops_reclaimed += (frontier - base) as u64;
-        CompactStats {
-            frontier,
-            ops_reclaimed: frontier - base,
-            txns_summarized: s_cut,
-        }
+        self.compaction.record(base, frontier, &summarized)
     }
 
     /// Compaction calls that actually advanced the frontier.
     pub fn compactions(&self) -> u64 {
-        self.compactions
+        self.compaction.compactions
     }
 
     /// Total operations reclaimed across all compactions.
     pub fn ops_reclaimed(&self) -> u64 {
-        self.ops_reclaimed
+        self.compaction.ops_reclaimed
     }
 
     /// Was `txn` summarized into the permanent prefix?
     pub fn is_summarized(&self, txn: TxnId) -> bool {
-        self.summarized.contains(txn)
+        self.compaction.summarized.contains(txn)
     }
 
     /// A structural estimate of the monitor's resident heap, in bytes:
@@ -1169,9 +857,8 @@ impl OnlineMonitor {
             .iter()
             .map(ProjGraph::resident_bytes)
             .sum::<usize>();
-        total += self.dr.resident_bytes();
         total += self.logged_len() * size_of::<PushDelta>();
-        total += self.summarized.resident_bytes();
+        total += self.compaction.summarized.resident_bytes();
         total
     }
 
@@ -1181,39 +868,24 @@ impl OnlineMonitor {
     /// rejected ([`CoreError::SummarizedTransaction`]) regardless of
     /// what the graphs say.
     pub fn admits(&self, txn: TxnId, item: ItemId, is_write: bool, level: AdmissionLevel) -> bool {
-        if self.summarized.contains(txn) {
+        if self.is_summarized(txn) {
             return false;
         }
         let slot = self.index.schedule().txn_slot(txn);
-        match level {
-            AdmissionLevel::Serializable => self.admits_graph_global(slot, item.index(), is_write),
-            AdmissionLevel::Pwsr => self.admits_conjuncts(slot, item, is_write),
-            AdmissionLevel::PwsrDr => {
-                self.dr.admits(slot) && self.admits_conjuncts(slot, item, is_write)
-            }
-        }
-    }
-
-    fn admits_graph_global(&self, slot: Option<usize>, item: usize, is_write: bool) -> bool {
-        self.global.admits(slot, item, is_write)
-    }
-
-    fn admits_conjuncts(&self, slot: Option<usize>, item: ItemId, is_write: bool) -> bool {
-        self.scopes
-            .iter()
-            .zip(&self.conjuncts)
-            .filter(|(scope, _)| scope.contains(item))
-            .all(|(_, g)| g.admits(slot, item.index(), is_write))
+        certify::admits(
+            level,
+            &self.scopes,
+            slot,
+            item,
+            is_write,
+            || &self.global,
+            |k| &self.conjuncts[k],
+        )
     }
 
     /// The current verdict (what the last `push` returned).
     pub fn verdict(&self) -> Verdict {
-        Verdict::assemble(
-            self.index.len(),
-            &self.global,
-            &self.dr,
-            self.first_violation,
-        )
+        self.global.verdict(self.index.len(), self.first_violation)
     }
 
     /// The underlying growing index (schedule + query tables).
@@ -1238,7 +910,7 @@ impl OnlineMonitor {
 
     /// The projection scopes.
     pub fn scopes(&self) -> &[ItemSet] {
-        &self.scopes
+        self.scopes.list()
     }
 
     /// The maintained serialization order of conjunct `k`'s projection
@@ -1250,7 +922,7 @@ impl OnlineMonitor {
 
     /// The maintained global serialization order, or `None`.
     pub fn serialization_order(&self) -> Option<Vec<TxnId>> {
-        self.global.order(self.index.schedule().txn_ids())
+        self.global.graph.order(self.index.schedule().txn_ids())
     }
 
     /// Does the Lemma 2 certificate hold for conjunct `k`?
@@ -1260,7 +932,7 @@ impl OnlineMonitor {
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
-        self.conjuncts[k].serializable() && self.dr.conjunct_clean(k)
+        self.conjuncts[k].serializable() && self.global.dr.conjunct_clean(k)
     }
 
     /// First position whose projection on conjunct `k` is cyclic.
@@ -1276,7 +948,7 @@ impl OnlineMonitor {
     /// not the per-push path.
     pub fn certify_prefix(&self) -> bool {
         let s = self.index.schedule();
-        for (k, d) in self.scopes.iter().enumerate() {
+        for (k, d) in self.scopes.list().iter().enumerate() {
             let Some(order) = self.conjunct_order(k) else {
                 continue; // Lemma preconditions need a serialization order.
             };
@@ -1325,7 +997,7 @@ impl OnlineMonitor {
             if self.traits.all_fixed_structure == Some(true) {
                 out.push(Guarantee::Theorem1FixedStructure);
             }
-            if self.dr.first_non_dr().is_none() {
+            if self.global.dr.first_non_dr().is_none() {
                 out.push(Guarantee::Theorem2DelayedRead);
             }
             if self.access_dag.is_acyclic() {

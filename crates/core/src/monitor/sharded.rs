@@ -40,6 +40,15 @@
 //!    conjuncts proceed through different shards concurrently — this
 //!    is where the parallelism the single writer forfeits comes back.
 //!
+//! Stages 2 and 3 hold no rules of their own: their state is the
+//! certification core's (`monitor/certify.rs`) — the global stage
+//! and one conjunct graph per shard, each beside its undo journal —
+//! and they apply, undo, compact and probe it through the core's
+//! methods, the same ones the single-writer
+//! [`OnlineMonitor`](super::OnlineMonitor) calls inline. This module
+//! adds only the locks, the turnstiles, the journals' layout and the
+//! lock-free floor.
+//!
 //! Because every stage processes operations in claimed-position order,
 //! each component's state equals the single-writer monitor's on the
 //! same interleaving — the final [`ShardedMonitor::verdict`] is
@@ -109,11 +118,11 @@
 //! lock-taking entry point through every interleaving of a small
 //! workload.
 
-use super::delayed::DelayedReads;
+use super::certify::{self, GlobalState, GlobalStep, ProjGraph, Scopes};
 use super::journal::MonitorJournal;
 use super::undo::{GlobalDelta, GraphDelta, SeqDelta, UndoLog};
-use super::{AdmissionLevel, CompactStats, ProjGraph, SummarizedSet, Verdict, VerdictLevel};
-use crate::error::{CoreError, Result};
+use super::{AdmissionLevel, CompactStats, Compaction, Verdict, VerdictLevel};
+use crate::error::Result;
 use crate::ids::{ItemId, OpIndex, TxnId};
 use crate::op::Operation;
 use crate::schedule::Schedule;
@@ -325,13 +334,8 @@ impl TxnTotals {
 struct Staged {
     /// Stage 1: slot of the write this read takes its value from.
     rf_slot: Option<u32>,
-    /// Stage 2: the prefix ending here is serializable / DR.
-    serializable: bool,
-    dr: bool,
-    /// Stage 2: this operation closed the first global cycle /
-    /// materialized the first dirty read.
-    caused_non_serializable: bool,
-    caused_non_dr: bool,
+    /// Stage 2: the global stage's snapshot and causality flags.
+    global: GlobalStep,
     /// Stage 3: this operation closed the first cycle of a conjunct.
     caused_violation: bool,
 }
@@ -374,37 +378,32 @@ struct SeqState {
     /// under this mutex, so journal order is claimed schedule order
     /// (see [`MonitorJournal`]'s ordering contract).
     journal: Option<Box<dyn MonitorJournal>>,
-    /// Transactions declared finished ([`ShardedMonitor::finish_txn`])
-    /// but not yet summarized.
-    finished: std::collections::HashSet<TxnId>,
-    /// Transactions collapsed into the permanent prefix: pushes and
-    /// retractions for them are rejected.
-    summarized: SummarizedSet,
-    /// Compaction calls that advanced the frontier / total operations
-    /// reclaimed by them.
-    compactions: u64,
-    ops_reclaimed: u64,
+    /// Finished and summarized transactions
+    /// ([`ShardedMonitor::finish_txn`], [`ShardedMonitor::compact`]).
+    compaction: Compaction,
 }
 
-/// Stage-2 state: everything that needs the full total order.
-#[derive(Debug)]
-struct GlobalState {
-    /// The global reduced conflict graph (serializability).
-    graph: ProjGraph,
-    /// Delayed-read marks and kills (the shared
-    /// [`delayed`](super::delayed) rules).
-    dr: DelayedReads,
-    /// Global-half undo journal (entries only when logging).
-    log: UndoLog<GlobalDelta>,
-}
-
-/// Stage-3 state: one conjunct's reduced conflict graph plus its own
-/// undo journal (position-tagged, automatically in position order
-/// because the shard serves tickets in claimed order).
+/// A stage of the [`certify`] core plus that stage's undo journal
+/// (entries only when logging), guarded together by the stage's lock.
+/// Stage 2 is the core's [`GlobalState`] with an
+/// `UndoLog<GlobalDelta>`; stage 3 is one conjunct's [`ProjGraph`] with
+/// a position-tagged journal (automatically in position order, because
+/// the shard serves tickets in claimed order).
 #[derive(Debug, Default)]
-struct ShardState {
-    graph: ProjGraph,
-    log: Vec<(u32, GraphDelta)>,
+struct Journaled<S, J> {
+    stage: S,
+    log: J,
+}
+
+/// A read guard on a [`Journaled`] stage, dereferencing to the stage
+/// itself — what the core's admission probe reads.
+struct Stage<G>(G);
+
+impl<S, J: 'static, G: Deref<Target = Journaled<S, J>>> Deref for Stage<G> {
+    type Target = S;
+    fn deref(&self) -> &S {
+        &self.0.stage
+    }
 }
 
 /// One conjunct shard: a ticket turnstile plus the guarded state.
@@ -413,7 +412,7 @@ struct ShardState {
 #[derive(Debug)]
 struct Shard {
     serving: AtomicU32,
-    state: RankedRwLock<ShardState>,
+    state: RankedRwLock<Journaled<ProjGraph, Vec<(u32, GraphDelta)>>>,
 }
 
 /// Ladder rank for the lock-free floor (higher = worse; between
@@ -507,17 +506,16 @@ impl PushOutcome {
 /// transactions need no coordination.
 #[derive(Debug)]
 pub struct ShardedMonitor {
-    scopes: Vec<ItemSet>,
-    /// Per item: the conjuncts whose scope contains it, ascending — so
-    /// admission and retraction visit only an operation's own shards,
-    /// however many conjuncts the monitor has.
-    conjuncts_of: Vec<Vec<u32>>,
+    /// The scopes and the item → conjuncts index, so admission and
+    /// retraction visit only an operation's own shards, however many
+    /// conjuncts the monitor has.
+    scopes: Scopes,
     /// Per transaction: §2.2 running totals, outside the serial
     /// section (see [`TxnTotals`]).
     totals: RwLock<HashMap<TxnId, Arc<Mutex<TxnTotals>>>>,
     seq: RankedMutex<SeqState>,
     gserving: AtomicU32,
-    gstate: RankedRwLock<GlobalState>,
+    gstate: RankedRwLock<Journaled<GlobalState, UndoLog<GlobalDelta>>>,
     shards: Vec<Shard>,
     /// Lock-free verdict floor: worst ladder rank any push computed
     /// (recomputed exactly by retraction).
@@ -552,18 +550,8 @@ impl ShardedMonitor {
 
     fn build(scopes: Vec<ItemSet>, logging: bool) -> ShardedMonitor {
         let n = scopes.len();
-        let mut conjuncts_of: Vec<Vec<u32>> = Vec::new();
-        for (k, scope) in scopes.iter().enumerate() {
-            for item in scope.iter() {
-                if conjuncts_of.len() <= item.index() {
-                    conjuncts_of.resize_with(item.index() + 1, Vec::new);
-                }
-                conjuncts_of[item.index()].push(k as u32);
-            }
-        }
         ShardedMonitor {
-            scopes,
-            conjuncts_of,
+            scopes: Scopes::new(scopes),
             totals: RwLock::new(HashMap::new()),
             seq: RankedMutex::new(
                 RANK_SEQ,
@@ -575,25 +563,21 @@ impl ShardedMonitor {
                     tickets: vec![0; n],
                     log: UndoLog::new(0),
                     journal: None,
-                    finished: std::collections::HashSet::new(),
-                    summarized: SummarizedSet::default(),
-                    compactions: 0,
-                    ops_reclaimed: 0,
+                    compaction: Compaction::default(),
                 },
             ),
             gserving: AtomicU32::new(0),
             gstate: RankedRwLock::new(
                 RANK_GLOBAL,
-                GlobalState {
-                    graph: ProjGraph::default(),
-                    dr: DelayedReads::new(n),
+                Journaled {
+                    stage: GlobalState::new(n),
                     log: UndoLog::new(0),
                 },
             ),
             shards: (0..n)
                 .map(|k| Shard {
                     serving: AtomicU32::new(0),
-                    state: RankedRwLock::new(shard_rank(k), ShardState::default()),
+                    state: RankedRwLock::new(shard_rank(k), Journaled::default()),
                 })
                 .collect(),
             floor: AtomicU8::new(0),
@@ -651,7 +635,7 @@ impl ShardedMonitor {
 
     /// The projection scopes.
     pub fn scopes(&self) -> &[ItemSet] {
-        &self.scopes
+        self.scopes.list()
     }
 
     /// Operations pushed so far.
@@ -662,13 +646,6 @@ impl ShardedMonitor {
     /// Has nothing been pushed yet?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The conjuncts whose scope contains `item`, ascending.
-    fn conjuncts_of(&self, item: ItemId) -> &[u32] {
-        self.conjuncts_of
-            .get(item.index())
-            .map_or(&[], Vec::as_slice)
     }
 
     /// The §2.2 totals cell of `txn` (created on first use).
@@ -789,12 +766,12 @@ impl ShardedMonitor {
             // --- stage 1: claim the segment ------------------------------
             let claim = {
                 let mut s = self.seq.lock();
-                if s.summarized.contains(txn) {
+                if let Err(e) = s.compaction.check(txn) {
                     // The run never claimed a position, so the totals
                     // must not remember it.
                     drop(s);
                     cell.lock().forget(ops);
-                    return Err(CoreError::SummarizedTransaction { txn });
+                    return Err(e);
                 }
                 let t0 = self.time_serial.then(Instant::now);
                 if let Some(journal) = s.journal.as_deref_mut() {
@@ -831,15 +808,19 @@ impl ShardedMonitor {
             let first_violation = self.first_violation.load(Ordering::Acquire) as usize;
             for (i, st) in staged.iter().enumerate() {
                 let p = claim.p0 + i;
-                let level = VerdictLevel::compose(st.serializable, st.dr, first_violation > p);
+                let level = VerdictLevel::compose(
+                    st.global.serializable,
+                    st.global.dr,
+                    first_violation > p,
+                );
                 let mine = rank(level);
                 let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
                 emit(PushOutcome {
                     pos: OpIndex(p),
                     floor: level_of(prev.max(mine)),
-                    caused_non_serializable: st.caused_non_serializable,
+                    caused_non_serializable: st.global.caused_non_serializable,
                     caused_violation: st.caused_violation,
-                    caused_non_dr: st.caused_non_dr,
+                    caused_non_dr: st.global.caused_non_dr,
                 });
             }
             self.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -873,7 +854,7 @@ impl ShardedMonitor {
         let mut turns_heap: Vec<ShardTurn> = Vec::new();
         let mut touched = 0;
         for op in ops {
-            for &shard in self.conjuncts_of(op.item) {
+            for &shard in self.scopes.of(op.item) {
                 let turns = if turns_heap.is_empty() {
                     &mut turns_inline[..touched]
                 } else {
@@ -997,22 +978,42 @@ impl ShardedMonitor {
         {
             let mut g = self.gstate.write();
             for (i, (op, st)) in ops.iter().zip(staged.iter_mut()).enumerate() {
-                self.stage_global(&mut g, slot, op, OpIndex(p0 + i), st);
+                let p = OpIndex(p0 + i);
+                let rf_slot = st.rf_slot.map(|w| w as usize);
+                let mut delta = self.logging.then(GlobalDelta::default);
+                st.global = g
+                    .stage
+                    .apply(&self.scopes, slot, op, rf_slot, p, delta.as_mut());
+                if let Some(delta) = delta {
+                    g.log.record(delta);
+                }
             }
         }
         self.gserving
             .store(g0 + ops.len() as u32, Ordering::Release);
         for turn in turns {
             let (scope, shard) = (
-                &self.scopes[turn.shard as usize],
+                &self.scopes.list()[turn.shard as usize],
                 &self.shards[turn.shard as usize],
             );
             wait_turn(&shard.serving, turn.start);
             {
                 let mut sh = shard.state.write();
                 for (i, (op, st)) in ops.iter().zip(staged.iter_mut()).enumerate() {
-                    if scope.contains(op.item) {
-                        st.caused_violation |= self.stage_shard(&mut sh, slot, op, OpIndex(p0 + i));
+                    if !scope.contains(op.item) {
+                        continue;
+                    }
+                    let p = OpIndex(p0 + i);
+                    let mut d = self.logging.then(GraphDelta::default);
+                    if sh
+                        .stage
+                        .apply(slot, op.item.index(), op.is_write(), p, d.as_mut())
+                    {
+                        st.caused_violation = true;
+                        self.first_violation.fetch_min(p.0 as u32, Ordering::AcqRel);
+                    }
+                    if let Some(d) = d {
+                        sh.log.push((p.0 as u32, d));
                     }
                 }
             }
@@ -1020,52 +1021,6 @@ impl ShardedMonitor {
                 .serving
                 .store(turn.start + turn.count, Ordering::Release);
         }
-    }
-
-    /// Stage 2 for the operation at `p`, under the (held) global lock:
-    /// the delayed-read rules and the global graph. Fills `st`'s
-    /// `(serializable, dr)` snapshot and causality flags for the prefix
-    /// ending at `p` — exact, because tickets serve in position order.
-    fn stage_global(
-        &self,
-        g: &mut GlobalState,
-        slot: usize,
-        op: &Operation,
-        p: OpIndex,
-        st: &mut Staged,
-    ) {
-        let mut delta = GlobalDelta::default();
-        let rf_slot = st.rf_slot.map(|w| w as usize);
-        st.caused_non_dr =
-            g.dr.apply(&self.scopes, slot, op.item, rf_slot, p, &mut delta);
-        let (item, is_write) = (op.item.index(), op.is_write());
-        if self.logging {
-            delta.graph = g.graph.apply_logged(slot, item, is_write, p);
-            g.log.record(delta);
-        } else {
-            g.graph.apply(slot, item, is_write, p);
-        }
-        st.caused_non_serializable = g.graph.cyclic_at == Some(p);
-        st.serializable = g.graph.serializable();
-        st.dr = g.dr.first_non_dr().is_none();
-    }
-
-    /// Stage 3 for the operation at `p` against an already-locked
-    /// shard (the caller holds its ticket). Returns whether this access
-    /// closed the conjunct's first cycle.
-    fn stage_shard(&self, sh: &mut ShardState, slot: usize, op: &Operation, p: OpIndex) -> bool {
-        let (item, is_write) = (op.item.index(), op.is_write());
-        if self.logging {
-            let d = sh.graph.apply_logged(slot, item, is_write, p);
-            sh.log.push((p.0 as u32, d));
-        } else {
-            sh.graph.apply(slot, item, is_write, p);
-        }
-        let closed = sh.graph.cyclic_at == Some(p);
-        if closed {
-            self.first_violation.fetch_min(p.0 as u32, Ordering::AcqRel);
-        }
-        closed
     }
 
     /// Wait for every in-flight push to clear the pipeline *and*
@@ -1174,10 +1129,8 @@ impl ShardedMonitor {
     /// transaction is summarized — a later push for it is still
     /// accepted and simply holds the frontier back.
     pub fn finish_txn(&self, txn: TxnId) {
-        let mut s = self.seq.lock();
-        if s.schedule.txn_slot(txn).is_some() {
-            s.finished.insert(txn);
-        }
+        let s = &mut *self.seq.lock();
+        s.compaction.finish(&s.schedule, txn);
     }
 
     /// The **compaction frontier**: the longest prefix in which every
@@ -1201,7 +1154,7 @@ impl ShardedMonitor {
         } else {
             s.schedule.len()
         };
-        super::frontier_scan(&s.schedule, &s.finished, limit)
+        s.compaction.frontier(&s.schedule, limit)
     }
 
     /// **Committed-prefix compaction**, sharded: collapse the prefix
@@ -1220,7 +1173,7 @@ impl ShardedMonitor {
     /// byte-identical to an uncompacted twin's (pinned by the twin
     /// harness in `tests/sharded_props.rs`); pushes and retractions
     /// for summarized transactions are rejected with
-    /// [`CoreError::SummarizedTransaction`].
+    /// [`CoreError::SummarizedTransaction`](crate::error::CoreError::SummarizedTransaction).
     pub fn compact(&self) -> CompactStats {
         let mut s = self.seq.lock();
         self.drain(&s);
@@ -1229,38 +1182,24 @@ impl ShardedMonitor {
         if frontier <= base {
             return CompactStats {
                 frontier: base,
-                ops_reclaimed: 0,
-                txns_summarized: 0,
+                ..CompactStats::default()
             };
-        }
-        // Global stage: nodes a retained undo entry references must
-        // survive the condensation (the entry has to stay replayable
-        // in LIFO order).
-        let mut g = self.gstate.write();
-        let mut kept_global = vec![false; g.graph.dag.len()];
-        for delta in g.log.iter() {
-            delta.mark_nodes(&mut kept_global);
         }
         let summarized = s.schedule.compact_prefix(frontier);
         let s_cut = summarized.len();
         s.first_op.drain(..s_cut);
-        let gmap = g.graph.compact(s_cut, kept_global);
-        for delta in g.log.iter_mut() {
-            delta.remap(&gmap, s_cut as u32);
+        // Each stage condenses with its retained journal (the entries
+        // must stay replayable in LIFO order): global, then each shard
+        // in ascending rank.
+        {
+            let g = &mut *self.gstate.write();
+            g.stage
+                .compact(s_cut, |visit| g.log.iter_mut().for_each(visit));
         }
-        g.dr.compact(s_cut);
-        drop(g);
-        // Conjunct shards, ascending rank.
         for shard in &self.shards {
-            let mut sh = shard.state.write();
-            let mut kept = vec![false; sh.graph.dag.len()];
-            for (_, d) in &sh.log {
-                d.mark_nodes(&mut kept);
-            }
-            let map = sh.graph.compact(s_cut, kept);
-            for (_, d) in &mut sh.log {
-                d.remap_nodes(&map);
-            }
+            let sh = &mut *shard.state.write();
+            sh.stage
+                .compact(s_cut, |visit| sh.log.iter_mut().for_each(|(_, d)| visit(d)));
         }
         // The summarized transactions can never push again, so their
         // §2.2 totals cells are dead weight — reclaim them. (The
@@ -1273,32 +1212,22 @@ impl ShardedMonitor {
                 totals.remove(t);
             }
         }
-        for t in &summarized {
-            s.finished.remove(t);
-            s.summarized.insert(*t);
-        }
-        s.compactions += 1;
-        s.ops_reclaimed += (frontier - base) as u64;
-        CompactStats {
-            frontier,
-            ops_reclaimed: frontier - base,
-            txns_summarized: s_cut,
-        }
+        s.compaction.record(base, frontier, &summarized)
     }
 
     /// Compaction calls that actually advanced the frontier.
     pub fn compactions(&self) -> u64 {
-        self.seq.lock().compactions
+        self.seq.lock().compaction.compactions
     }
 
     /// Total operations reclaimed across all compactions.
     pub fn ops_reclaimed(&self) -> u64 {
-        self.seq.lock().ops_reclaimed
+        self.seq.lock().compaction.ops_reclaimed
     }
 
     /// Was `txn` summarized into the permanent prefix?
     pub fn is_summarized(&self, txn: TxnId) -> bool {
-        self.seq.lock().summarized.contains(txn)
+        self.seq.lock().compaction.summarized.contains(txn)
     }
 
     /// A structural estimate of the monitor's resident heap, in bytes:
@@ -1315,16 +1244,15 @@ impl ShardedMonitor {
                 * (size_of::<TxnId>() + size_of::<u32>() + 2 * size_of::<usize>());
         total += (s.last_write.len() + s.first_op.len()) * size_of::<u32>();
         total += s.log.len() * size_of::<SeqDelta>();
-        total += s.summarized.resident_bytes();
+        total += s.compaction.summarized.resident_bytes();
         {
             let g = self.gstate.read();
-            total += g.graph.resident_bytes();
-            total += g.dr.resident_bytes();
+            total += g.stage.resident_bytes();
             total += g.log.len() * size_of::<GlobalDelta>();
         }
         for shard in &self.shards {
             let sh = shard.state.read();
-            total += sh.graph.resident_bytes();
+            total += sh.stage.resident_bytes();
             total += sh.log.len() * (size_of::<u32>() + size_of::<GraphDelta>());
         }
         total += self.totals.read().len()
@@ -1376,13 +1304,13 @@ impl ShardedMonitor {
             let sd = s.log.pop().expect("one sequence entry per logged push");
             // Shards first (reverse of push order); ticket turnstiles
             // roll back one step so re-claimed tickets line up.
-            for &k in self.conjuncts_of(item).iter().rev() {
+            for &k in self.scopes.of(item).iter().rev() {
                 let k = k as usize;
                 {
                     let mut sh = self.shards[k].state.write();
                     let (pos, d) = sh.log.pop().expect("one shard entry per touched push");
                     debug_assert_eq!(pos as usize, p);
-                    sh.graph.undo(slot, item.index(), is_write, d);
+                    sh.stage.undo(slot, item.index(), is_write, d);
                 }
                 s.tickets[k] -= 1;
                 self.shards[k]
@@ -1393,8 +1321,7 @@ impl ShardedMonitor {
             {
                 let mut g = self.gstate.write();
                 let gd = g.log.pop().expect("one global entry per logged push");
-                g.dr.undo(slot, item, sd.new_slot, &gd);
-                g.graph.undo(slot, item.index(), is_write, gd.graph);
+                g.stage.undo(slot, &op, sd.new_slot, gd);
             }
             s.gticket -= 1;
             self.gserving.store(s.gticket, Ordering::Release);
@@ -1439,20 +1366,20 @@ impl ShardedMonitor {
     /// the monotone `fetch_max`/`fetch_min` floors must be reset).
     /// Requires the pipeline to be quiescent under the sequence lock.
     fn recompute_floor(&self) {
-        let mut fv = NO_POS;
-        for shard in &self.shards {
-            if let Some(c) = shard.state.read().graph.cyclic_at {
-                fv = fv.min(c.0 as u32);
-            }
-        }
-        self.first_violation.store(fv, Ordering::Release);
-        let g = self.gstate.read();
-        let level = VerdictLevel::compose(
-            g.graph.serializable(),
-            g.dr.first_non_dr().is_none(),
-            fv == NO_POS,
-        );
+        let fv = self.first_cycle();
+        self.first_violation
+            .store(fv.map_or(NO_POS, |p| p.0 as u32), Ordering::Release);
+        // Only the ladder rung is read, so the prefix length is moot.
+        let level = self.gstate.read().stage.verdict(0, fv).level;
         self.floor.store(rank(level), Ordering::Release);
+    }
+
+    /// The first conjunct cycle: the least `cyclic_at` over the shards.
+    fn first_cycle(&self) -> Option<OpIndex> {
+        self.shards
+            .iter()
+            .filter_map(|shard| shard.state.read().stage.cyclic_at)
+            .min()
     }
 
     /// Abort `txn`: truncate to its first operation and re-push the
@@ -1482,13 +1409,11 @@ impl ShardedMonitor {
     /// A transaction the monitor has never seen retracts nothing. A
     /// transaction summarized by committed-prefix compaction
     /// ([`ShardedMonitor::compact`]) is rejected with
-    /// [`CoreError::SummarizedTransaction`]: its operations live in
+    /// [`CoreError::SummarizedTransaction`](crate::error::CoreError::SummarizedTransaction): its operations live in
     /// the collapsed, permanent prefix and can no longer be undone.
     pub fn retract_txn(&self, txn: TxnId) -> Result<(usize, usize)> {
         let mut s = self.seq.lock();
-        if s.summarized.contains(txn) {
-            return Err(CoreError::SummarizedTransaction { txn });
-        }
+        s.compaction.check(txn)?;
         self.drain(&s);
         let Some(slot) = s.schedule.txn_slot(txn) else {
             return Ok((0, 0));
@@ -1540,7 +1465,7 @@ impl ShardedMonitor {
     /// conflict domain (as the lock-based executors do) for the
     /// answer to stay binding. A summarized transaction is never
     /// admitted: its push would be rejected
-    /// ([`CoreError::SummarizedTransaction`]) regardless of what the
+    /// ([`CoreError::SummarizedTransaction`](crate::error::CoreError::SummarizedTransaction)) regardless of what the
     /// graphs say.
     pub fn would_admit(
         &self,
@@ -1551,34 +1476,20 @@ impl ShardedMonitor {
     ) -> bool {
         let slot = {
             let s = self.seq.lock();
-            if s.summarized.contains(txn) {
+            if s.compaction.summarized.contains(txn) {
                 return false;
             }
             s.schedule.txn_slot(txn)
         };
-        match level {
-            AdmissionLevel::Serializable => {
-                self.gstate
-                    .read()
-                    .graph
-                    .admits(slot, item.index(), is_write)
-            }
-            AdmissionLevel::Pwsr => self.admits_conjuncts(slot, item, is_write),
-            AdmissionLevel::PwsrDr => {
-                let clean = self.gstate.read().dr.admits(slot);
-                clean && self.admits_conjuncts(slot, item, is_write)
-            }
-        }
-    }
-
-    fn admits_conjuncts(&self, slot: Option<usize>, item: ItemId, is_write: bool) -> bool {
-        self.conjuncts_of(item).iter().all(|&k| {
-            self.shards[k as usize]
-                .state
-                .read()
-                .graph
-                .admits(slot, item.index(), is_write)
-        })
+        certify::admits(
+            level,
+            &self.scopes,
+            slot,
+            item,
+            is_write,
+            || Stage(self.gstate.read()),
+            |k| Stage(self.shards[k].state.read()),
+        )
     }
 
     /// The full verdict, assembled from every stage's state. **Exact
@@ -1591,24 +1502,18 @@ impl ShardedMonitor {
     pub fn verdict(&self) -> Verdict {
         let len = self.seq.lock().schedule.len();
         let g = self.gstate.read();
-        let mut first_violation: Option<OpIndex> = None;
-        for shard in &self.shards {
-            if let Some(c) = shard.state.read().graph.cyclic_at {
-                first_violation = Some(first_violation.map_or(c, |f| f.min(c)));
-            }
-        }
-        Verdict::assemble(len, &g.graph, &g.dr, first_violation)
+        g.stage.verdict(len, self.first_cycle())
     }
 
     /// Does the Lemma 2 certificate hold for conjunct `k` (module
     /// equivalence: the projection is still serializable)?
     pub fn lemma2_holds(&self, k: usize) -> bool {
-        self.shards[k].state.read().graph.cyclic_at.is_none()
+        self.shards[k].state.read().stage.serializable()
     }
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
-        self.lemma2_holds(k) && self.gstate.read().dr.conjunct_clean(k)
+        self.lemma2_holds(k) && self.gstate.read().stage.dr.conjunct_clean(k)
     }
 
     /// A snapshot of the certified interleaving so far.
@@ -1629,6 +1534,7 @@ impl ShardedMonitor {
 mod tests {
     use super::super::OnlineMonitor;
     use super::*;
+    use crate::error::CoreError;
     use crate::value::Value;
     use std::sync::Arc;
 

@@ -49,14 +49,20 @@
 //! entries) once no live transaction can force a retraction that deep,
 //! which is what bounds the log's memory over a long run.
 //!
-//! Consumers: [`OnlineMonitor`] keeps one `UndoLog<PushDelta>` (the
-//! three layers folded into one entry per push, since a single writer
-//! applies them atomically); [`ShardedMonitor`] splits the same
-//! records per pipeline stage — `UndoLog<SeqDelta>` under the
-//! order-claiming mutex, `UndoLog<GlobalDelta>` under the global
-//! stage's lock, and per-shard `(position, GraphDelta)` journals
-//! behind each shard's own lock — so a truncate touches each shard
-//! for `O(ops undone in that shard)` and unaffected shards not at all.
+//! Consumers: both monitors produce these records through the same
+//! certification core (`monitor/certify.rs`) — its stage
+//! `apply` methods fill a `GlobalDelta` or a `GraphDelta` when handed
+//! one, its `undo` methods consume them, and its `compact` methods
+//! visit the retained ones to keep their nodes alive and rename them.
+//! Only where the records are kept differs. [`OnlineMonitor`] keeps
+//! one `UndoLog<PushDelta>` (the records of one push folded into one
+//! entry, since a single writer applies them atomically);
+//! [`ShardedMonitor`] splits them per pipeline stage —
+//! `UndoLog<SeqDelta>` under the order-claiming mutex,
+//! `UndoLog<GlobalDelta>` under the global stage's lock, and per-shard
+//! `(position, GraphDelta)` journals behind each shard's own lock — so
+//! a truncate touches each shard for `O(ops undone in that shard)` and
+//! unaffected shards not at all.
 //!
 //! [`OnlineMonitor`]: super::OnlineMonitor
 //! [`ShardedMonitor`]: super::sharded::ShardedMonitor
@@ -126,18 +132,12 @@ impl GraphDelta {
 }
 
 impl GlobalDelta {
-    /// [`GraphDelta::mark_nodes`] for the global-graph half.
-    pub(crate) fn mark_nodes(&self, kept: &mut [bool]) {
-        self.graph.mark_nodes(kept);
-    }
-
-    /// Renumber after compaction: global-graph node ids through `map`,
-    /// and the dirty-read mark's writer *slot* down by `s_cut`. A mark
-    /// on a summarized slot becomes `None`: its delayed-read row was
-    /// reclaimed, and a summarized (finished) writer's mark can never
-    /// trip again, so there is nothing left to retract.
-    pub(crate) fn remap(&mut self, map: &[u32], s_cut: u32) {
-        self.graph.remap_nodes(map);
+    /// Shift the dirty-read mark's writer *slot* down by `s_cut` after
+    /// compaction. A mark on a summarized slot becomes `None`: its
+    /// delayed-read row was reclaimed, and a summarized (finished)
+    /// writer's mark can never trip again, so there is nothing left to
+    /// retract.
+    pub(crate) fn shift_slots(&mut self, s_cut: u32) {
         self.dr_mark = match self.dr_mark {
             Some(s) if s >= s_cut => Some(s - s_cut),
             _ => None,
@@ -178,20 +178,19 @@ pub(crate) struct GlobalDelta {
 
 /// Everything one logged [`OnlineMonitor`](super::OnlineMonitor) push
 /// applied, captured so `truncate_to` can retract it exactly: the
-/// three stage records plus the single writer's extras (per-conjunct
-/// graphs, the live access DAG, the first-violation flag).
+/// sequence and global-stage records plus, per touched conjunct, its
+/// graph record and its live-`DAG(S, IC)` record. Whether the push set
+/// `first_violation` is not recorded: after retracting position `p`,
+/// `first_violation == Some(p)` holds exactly when this push set it.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PushDelta {
     /// Sequence-stage displacements.
     pub(crate) seq: SeqDelta,
     /// Delayed-read + global-graph deltas.
     pub(crate) global: GlobalDelta,
-    /// Per touched conjunct: conflict-graph deltas.
-    pub(crate) conjuncts: Vec<(u32, GraphDelta)>,
-    /// Per touched conjunct: live-`DAG(S, IC)` deltas.
-    pub(crate) dag_deltas: Vec<(u32, AccessDagDelta)>,
-    /// The push set `first_violation`.
-    pub(crate) set_first_violation: bool,
+    /// Per touched conjunct: its conflict-graph and live-`DAG(S, IC)`
+    /// deltas.
+    pub(crate) conjuncts: Vec<(u32, GraphDelta, AccessDagDelta)>,
 }
 
 /// A journal of per-push deltas above a retraction *floor*.
@@ -239,13 +238,8 @@ impl<D> UndoLog<D> {
     }
 
     /// The retained entries, oldest first (entry `k` describes the
-    /// push at position `base + k`).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &D> {
-        self.entries.iter()
-    }
-
-    /// Mutable [`UndoLog::iter`] — committed-prefix compaction renames
-    /// the graph nodes a retained entry references in place.
+    /// push at position `base + k`) — committed-prefix compaction marks
+    /// and renames the graph nodes they reference in place.
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut D> {
         self.entries.iter_mut()
     }

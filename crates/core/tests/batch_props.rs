@@ -59,17 +59,26 @@ fn arb_transactions(n_txns: u32) -> impl Strategy<Value = Vec<Transaction>> {
     })
 }
 
-/// Two scopes carved out of the item universe by bitmasks.
-fn scopes_from_bits(d1_bits: u32, d2_bits: u32) -> Vec<ItemSet> {
-    let d1: ItemSet = (0..MAX_ITEMS)
-        .filter(|i| d1_bits & (1 << i) != 0)
-        .map(ItemId)
-        .collect();
-    let d2: ItemSet = (0..MAX_ITEMS)
-        .filter(|i| d2_bits & (1 << i) != 0 && d1_bits & (1 << i) == 0)
-        .map(ItemId)
-        .collect();
-    vec![d1, d2]
+/// No third scope: the [`scopes_from_bits`] `d3_bits` values from
+/// here up.
+const NO_THIRD: u32 = 1 << MAX_ITEMS;
+
+/// Two disjoint scopes carved out of the item universe by bitmasks
+/// (items whose bit is unset in both fall outside every scope), plus —
+/// when `d3_bits < NO_THIRD` — a third scope drawn freely, which may
+/// overlap both others, so some items lie in two conjuncts.
+fn scopes_from_bits(d1_bits: u32, d2_bits: u32, d3_bits: u32) -> Vec<ItemSet> {
+    let scope = |bits: u32| -> ItemSet {
+        (0..MAX_ITEMS)
+            .filter(|i| bits & (1 << i) != 0)
+            .map(ItemId)
+            .collect()
+    };
+    let mut scopes = vec![scope(d1_bits), scope(d2_bits & !d1_bits)];
+    if d3_bits < NO_THIRD {
+        scopes.push(scope(d3_bits));
+    }
+    scopes
 }
 
 /// Thirteen overlapping scopes — one per item, three pairs, two
@@ -230,12 +239,13 @@ proptest! {
         events in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
         wide in any::<bool>(),
     ) {
         let (scopes, max_run) = if wide {
             (wide_scopes(), 8)
         } else {
-            (scopes_from_bits(d1_bits, d2_bits), 4)
+            (scopes_from_bits(d1_bits, d2_bits, d3_bits), 4)
         };
         let runs = interleaved_runs(&txns, &sizes, &mix, max_run);
         let batched = ShardedMonitor::new_logged(scopes.clone());
@@ -364,8 +374,9 @@ proptest! {
         events in proptest::collection::vec(any::<u8>(), 0..32),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
     ) {
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let runs = interleaved_runs(&txns, &sizes, &mix, 4);
         let mut batched = OnlineMonitor::new(scopes.clone());
         let mut singleton = OnlineMonitor::new(scopes.clone());

@@ -75,18 +75,26 @@ fn interleave_random(txns: &[Transaction], mix: &[u8]) -> Vec<Operation> {
     ops
 }
 
-/// Two scopes carved out of the item universe by a bitmask (items
-/// whose bit is unset fall outside every scope).
-fn scopes_from_bits(d1_bits: u32, d2_bits: u32) -> Vec<ItemSet> {
-    let d1: ItemSet = (0..MAX_ITEMS)
-        .filter(|i| d1_bits & (1 << i) != 0)
-        .map(ItemId)
-        .collect();
-    let d2: ItemSet = (0..MAX_ITEMS)
-        .filter(|i| d2_bits & (1 << i) != 0 && d1_bits & (1 << i) == 0)
-        .map(ItemId)
-        .collect();
-    vec![d1, d2]
+/// No third scope: the [`scopes_from_bits`] `d3_bits` values from
+/// here up.
+const NO_THIRD: u32 = 1 << MAX_ITEMS;
+
+/// Two disjoint scopes carved out of the item universe by bitmasks
+/// (items whose bit is unset in both fall outside every scope), plus —
+/// when `d3_bits < NO_THIRD` — a third scope drawn freely, which may
+/// overlap both others, so some items lie in two conjuncts.
+fn scopes_from_bits(d1_bits: u32, d2_bits: u32, d3_bits: u32) -> Vec<ItemSet> {
+    let scope = |bits: u32| -> ItemSet {
+        (0..MAX_ITEMS)
+            .filter(|i| bits & (1 << i) != 0)
+            .map(ItemId)
+            .collect()
+    };
+    let mut scopes = vec![scope(d1_bits), scope(d2_bits & !d1_bits)];
+    if d3_bits < NO_THIRD {
+        scopes.push(scope(d3_bits));
+    }
+    scopes
 }
 
 proptest! {
@@ -100,9 +108,10 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..64),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
     ) {
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let mut monitor = OnlineMonitor::new(scopes.clone());
         for k in 0..ops.len() {
             let v = monitor.push(ops[k].clone()).expect("valid interleaving");
@@ -193,10 +202,11 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
         cut_pick in any::<u16>(),
     ) {
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let mut logged = OnlineMonitor::new(scopes.clone());
         for op in &ops {
             logged.push_logged(op.clone()).expect("valid interleaving");
@@ -238,11 +248,12 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..64),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
         stride in 1usize..4,
         logged in any::<bool>(),
     ) {
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let mut compacting = OnlineMonitor::new(scopes.clone());
         let mut twin = OnlineMonitor::new(scopes.clone());
         let mut remaining: std::collections::HashMap<TxnId, usize> =
@@ -337,9 +348,10 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
     ) {
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let mut monitor = OnlineMonitor::new(scopes.clone());
         let mut accepted: Vec<Operation> = Vec::new();
         for op in ops {

@@ -83,17 +83,26 @@ fn interleave_random(txns: &[Transaction], mix: &[u8]) -> Vec<Operation> {
     ops
 }
 
-/// Two scopes carved out of the item universe by bitmasks.
-fn scopes_from_bits(d1_bits: u32, d2_bits: u32) -> Vec<ItemSet> {
-    let d1: ItemSet = (0..MAX_ITEMS)
-        .filter(|i| d1_bits & (1 << i) != 0)
-        .map(ItemId)
-        .collect();
-    let d2: ItemSet = (0..MAX_ITEMS)
-        .filter(|i| d2_bits & (1 << i) != 0 && d1_bits & (1 << i) == 0)
-        .map(ItemId)
-        .collect();
-    vec![d1, d2]
+/// No third scope: the [`scopes_from_bits`] `d3_bits` values from
+/// here up.
+const NO_THIRD: u32 = 1 << MAX_ITEMS;
+
+/// Two disjoint scopes carved out of the item universe by bitmasks
+/// (items whose bit is unset in both fall outside every scope), plus —
+/// when `d3_bits < NO_THIRD` — a third scope drawn freely, which may
+/// overlap both others, so some items lie in two conjuncts.
+fn scopes_from_bits(d1_bits: u32, d2_bits: u32, d3_bits: u32) -> Vec<ItemSet> {
+    let scope = |bits: u32| -> ItemSet {
+        (0..MAX_ITEMS)
+            .filter(|i| bits & (1 << i) != 0)
+            .map(ItemId)
+            .collect()
+    };
+    let mut scopes = vec![scope(d1_bits), scope(d2_bits & !d1_bits)];
+    if d3_bits < NO_THIRD {
+        scopes.push(scope(d3_bits));
+    }
+    scopes
 }
 
 /// The full oracle battery over a recorded schedule: single-writer
@@ -153,9 +162,10 @@ proptest! {
         abort_mask in 0u32..64,
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
         n_threads in 2usize..4,
     ) {
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let monitor = Arc::new(ShardedMonitor::new_logged(scopes.clone()));
         std::thread::scope(|scope| {
             for (w, chunk) in txns.chunks(txns.len().div_ceil(n_threads)).enumerate() {
@@ -209,10 +219,11 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..32),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
         cut_pct in 0usize..=100,
     ) {
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let sharded = ShardedMonitor::new_logged(scopes.clone());
         for op in &ops {
             sharded.push(op.clone()).expect("valid interleaving");
@@ -241,9 +252,10 @@ proptest! {
         txns in arb_transactions(4),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
         n_threads in 2usize..4,
     ) {
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let monitor = Arc::new(ShardedMonitor::new(scopes.clone()));
         std::thread::scope(|scope| {
             for (w, chunk) in txns.chunks(txns.len().div_ceil(n_threads)).enumerate() {
@@ -276,9 +288,10 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
     ) {
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let sharded = ShardedMonitor::new(scopes.clone());
         let mut single = OnlineMonitor::new(scopes.clone());
         for op in ops {
@@ -304,10 +317,11 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
         stride in 1usize..4,
     ) {
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let compacting = ShardedMonitor::new(scopes.clone());
         let twin = ShardedMonitor::new(scopes.clone());
         // Count down each transaction's remaining ops so we can mark
@@ -353,13 +367,14 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..32),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
+        d3_bits in 0u32..2 * NO_THIRD,
         probe_item in 0..MAX_ITEMS,
         probe_txn in 1u32..5,
         probe_write in any::<bool>(),
     ) {
         use pwsr_core::monitor::AdmissionLevel;
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let scopes = scopes_from_bits(d1_bits, d2_bits, d3_bits);
         let sharded = ShardedMonitor::new(scopes.clone());
         let mut single = OnlineMonitor::new(scopes);
         for op in ops {
